@@ -1,8 +1,8 @@
 """Cryptographic primitives built on hashlib/hmac only.
 
-**Substitution note** (see DESIGN.md §2): the paper's strongSwan setup
-uses AES for ESP encryption.  No AES implementation is available in the
-offline environment's stdlib, so encryption here is a keystream cipher:
+**Substitution note** (README "Substitutions"): the paper's strongSwan
+setup uses AES for ESP encryption.  No AES implementation is available
+in the standard library, so encryption here is a keystream cipher:
 
     block_i = SHA256(key || iv || counter_i)
 
@@ -23,6 +23,8 @@ import struct
 __all__ = ["KeystreamCipher", "derive_keys", "hmac_sha256"]
 
 _BLOCK = 32  # SHA-256 digest size
+# Counter bytes packed once; 2048 blocks = 64 KiB, the largest IPv4 packet.
+_COUNTERS = [struct.pack("!Q", counter) for counter in range(2048)]
 
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
@@ -39,15 +41,20 @@ class KeystreamCipher:
         self._key = key
 
     def _keystream(self, iv: bytes, length: int) -> bytes:
+        if length > _BLOCK * len(_COUNTERS):
+            raise ValueError("keystream longer than 64 KiB")
+        copy = hashlib.sha256(self._key + iv).copy  # key || iv hashed once
         blocks = []
-        for counter in range((length + _BLOCK - 1) // _BLOCK):
-            blocks.append(hashlib.sha256(
-                self._key + iv + struct.pack("!Q", counter)).digest())
+        for counter in _COUNTERS[:-(-length // _BLOCK)]:
+            block = copy()
+            block.update(counter)
+            blocks.append(block.digest())
         return b"".join(blocks)[:length]
 
     def encrypt(self, iv: bytes, plaintext: bytes) -> bytes:
         stream = self._keystream(iv, len(plaintext))
-        return bytes(p ^ s for p, s in zip(plaintext, stream))
+        return (int.from_bytes(plaintext, "big") ^ int.from_bytes(
+            stream, "big")).to_bytes(len(plaintext), "big")
 
     # XOR keystream: decryption is the same operation.
     decrypt = encrypt

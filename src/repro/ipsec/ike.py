@@ -1,12 +1,12 @@
 """A minimal IKE-style key exchange over the simulated dataplane.
 
 The strongSwan *plugin* installs SAs derived directly from the PSK so
-deployments are synchronous (DESIGN.md §2).  This module implements the
-dynamic alternative the real daemon uses: a two-message nonce exchange
-on UDP/500 that derives fresh SA material per negotiation and installs
-it into the namespace's XFRM database.  It exists to exercise the
-control-plane path end to end (daemon sockets, UDP delivery through
-LSIs, rekeying) and is used by the rekey tests and the API directly.
+deployments are synchronous (see README "Substitutions").  This module
+implements the dynamic alternative the real daemon uses: a two-message
+nonce exchange on UDP/500 that derives fresh SA material per negotiation
+and installs it into the namespace's XFRM database.  It exists to
+exercise the control-plane path end to end (daemon sockets, UDP delivery
+through LSIs, rekeying) and is used by the rekey tests and the API directly.
 
 Wire format (UDP payload)::
 

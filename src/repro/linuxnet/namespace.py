@@ -445,7 +445,11 @@ class NetworkNamespace:
                 if state is None:
                     self.esp_errors += 1  # no SA yet (IKE not done): drop
                     return
-                outer = esp_encapsulate(state.sa, skb.ipv4)
+                try:
+                    outer = esp_encapsulate(state.sa, skb.ipv4)
+                except OverflowError:  # SA expired: XfrmOutStateExpired
+                    self.esp_errors += 1
+                    return
                 self.esp_out += 1
                 outer_route = self.fib_lookup(outer.dst, skb.mark)
                 if outer_route is None:

@@ -9,12 +9,12 @@ ESP input (state lookup by destination+SPI, then policy direction IN).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from repro.ipsec.sa import SecurityAssociation
-from repro.net.addresses import ip_to_int, parse_cidr
+from repro.net.addresses import compile_cidr, ip_to_int
 from repro.net.ipv4 import IPv4Packet
 
 __all__ = ["XfrmDb", "XfrmDirection", "XfrmPolicy", "XfrmState"]
@@ -33,20 +33,19 @@ class Selector:
     src_cidr: str
     dst_cidr: str
     proto: Optional[int] = None
+    _compiled: tuple[int, ...] = field(init=False, repr=False,
+                                       compare=False)
+
+    def __post_init__(self) -> None:  # compile once; covers() only shifts
+        object.__setattr__(self, "_compiled", compile_cidr(self.src_cidr)
+                           + compile_cidr(self.dst_cidr))
 
     def covers(self, packet: IPv4Packet) -> bool:
         if self.proto is not None and packet.proto != self.proto:
             return False
-        return (_cidr_contains(self.src_cidr, packet.src)
-                and _cidr_contains(self.dst_cidr, packet.dst))
-
-
-def _cidr_contains(cidr: str, address: str) -> bool:
-    network, plen = parse_cidr(cidr)
-    if plen == 0:
-        return True
-    shift = 32 - plen
-    return (ip_to_int(address) >> shift) == (network >> shift)
+        src_net, src_shift, dst_net, dst_shift = self._compiled
+        return (ip_to_int(packet.src) >> src_shift == src_net
+                and ip_to_int(packet.dst) >> dst_shift == dst_net)
 
 
 @dataclass

@@ -7,11 +7,7 @@ __all__ = ["internet_checksum"]
 
 def internet_checksum(data: bytes) -> int:
     """One's-complement sum over 16-bit words, odd tail zero-padded."""
-    if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    # 2**16 ≡ 1 (mod 0xFFFF): the folded word sum is the data's residue as
+    # one big integer, except that a non-zero sum folds to 0xFFFF, not 0.
+    value = int.from_bytes(data, "big") << (8 * (len(data) & 1))
+    return 0xFFFF - (value % 0xFFFF or 0xFFFF) if value else 0xFFFF

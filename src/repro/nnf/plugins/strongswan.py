@@ -5,7 +5,7 @@ kernel XFRM path ("The Strongswan implementation leverages kernel
 processing to handle packets faster", paper §3).  The plugin therefore
 emits ``ip xfrm state/policy`` commands with key material derived from
 the configured PSK — both tunnel endpoints configured with the same PSK
-derive matching SAs, standing in for the IKE exchange (DESIGN.md §2).
+derive matching SAs in place of an IKE exchange (README "Substitutions").
 
 Not sharable and not multi-instance: strongSwan keeps global kernel SA
 state and a single charon control socket, so a second graph cannot get

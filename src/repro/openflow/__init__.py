@@ -9,7 +9,7 @@ message to bytes and back, the switch-side agent, and the controller
 class the traffic-steering manager drives.
 
 The wire format is OpenFlow-*inspired* rather than byte-compatible
-with the IETF spec (see DESIGN.md §2): the message set, semantics and
+with the spec (README "Substitutions"): the message set, semantics and
 programming model match what the un-orchestrator exercises.
 """
 

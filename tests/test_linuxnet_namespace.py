@@ -224,8 +224,8 @@ def make_tunnel(ns_left, ns_right, left_outer, right_outer,
         tmpl_dst=right_outer))
 
 
-def test_xfrm_tunnel_end_to_end():
-    """UDP between tunnel-private prefixes crosses as ESP and back."""
+def tunnel_pair():
+    """Two namespaces joined by an ESP tunnel between private prefixes."""
     host = LinuxHost()
     left = host.add_namespace("left")
     right = host.add_namespace("right")
@@ -241,7 +241,12 @@ def test_xfrm_tunnel_end_to_end():
     right.routes.add_cidr("192.168.100.0/24", "r0")
     make_tunnel(left, right, "203.0.113.1", "203.0.113.2",
                 "192.168.100.0/24", "192.168.200.0/24")
+    return left, right
 
+
+def test_xfrm_tunnel_end_to_end():
+    """UDP between tunnel-private prefixes crosses as ESP and back."""
+    left, right = tunnel_pair()
     inbox = []
     right.bind_udp(5001, lambda ns, pkt, dgram: inbox.append(
         (pkt.src, pkt.dst, dgram.payload)))
@@ -263,6 +268,22 @@ def test_xfrm_tunnel_end_to_end():
     outer = IP.from_bytes(wire[0].payload)
     assert outer.proto == 50
     assert b"tunnel!" not in outer.payload
+
+
+def test_xfrm_expired_sa_drops_and_counts():
+    """A spent SA (hard packet lifetime) drops the packet and counts it
+    in ``esp_errors`` instead of raising into the sender."""
+    left, right = tunnel_pair()
+    state = left.xfrm.find_state_for_endpoints("203.0.113.1", "203.0.113.2")
+    state.sa.hard_packet_limit = 1
+    inbox = []
+    right.bind_udp(5001, lambda ns, pkt, dgram: inbox.append(dgram.payload))
+    left.send_udp("192.168.100.1", "192.168.200.1", 4000, 5001, b"first")
+    left.send_udp("192.168.100.1", "192.168.200.1", 4000, 5001, b"second")
+    assert inbox == [b"first"]
+    assert left.esp_out == 1
+    assert left.esp_errors == 1
+    assert left.tx_sent == 1
 
 
 def test_xfrm_missing_state_drops():
