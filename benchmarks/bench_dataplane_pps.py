@@ -3,9 +3,10 @@
 Sweeps flow-table sizes (10/100/1k/5k entries — small-table bypass
 below 17, two-level index above) against the pre-PR linear scan, the
 compiled action closures against the interpreted reference loop per
-steering shape, and chain lengths for the batched pipeline vs
-per-frame interpretation; writes ``BENCH_dataplane.json`` so later PRs
-can track the pps trajectory.
+steering shape, and chain lengths for the per-hop batch path (tapped
+hops) and production batch path vs per-frame ``Datapath.process``;
+writes ``BENCH_dataplane.json`` so later changes can track the pps
+trajectory.
 
 Run with pytest (perf marker)::
 
@@ -47,7 +48,7 @@ def results(request):
 @pytest.mark.perf
 def test_acceptance_criteria(results):
     # check_results is the single source of truth for every threshold:
-    # >=10x at 1k entries, >=1.3x chain batching, no small-table
+    # >=10x at 1k entries, >=1.3x per-hop chain batching, no small-table
     # regression, compiled actions not slower on average, parse_cidr-free.
     check_results(results)
 

@@ -91,14 +91,32 @@ def _require(mapping: dict, key: str, context: str) -> Any:
     return mapping[key]
 
 
+_KINDS = {dict: "an object", list: "an array"}
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it is a JSON ``kind`` (``dict`` or ``list``).
+
+    A wrong container type is a ``ValueError`` — a 400 at the REST
+    boundary — instead of a ``TypeError``/``AttributeError`` from the
+    first ``in``/``.get``/iteration that trips over it.
+    """
+    if not isinstance(value, kind):
+        raise ValueError(f"NF-FG JSON: {what} must be {_KINDS[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def nffg_from_dict(document: dict[str, Any]) -> Nffg:
-    body = _require(document, "forwarding-graph", "document root")
+    _typed(document, dict, "the document")
+    body = _typed(_require(document, "forwarding-graph", "document root"),
+                  dict, "forwarding-graph")
     graph = Nffg(graph_id=str(_require(body, "id", "forwarding-graph")),
                  name=str(body.get("name", "")))
-    for entry in body.get("VNFs", []):
-        config = entry.get("configuration", {})
-        if not isinstance(config, dict):
-            raise ValueError("NF-FG JSON: configuration must be an object")
+    for entry in _typed(body.get("VNFs", []), list, "VNFs"):
+        _typed(entry, dict, "each VNF")
+        config = _typed(entry.get("configuration", {}), dict,
+                        "configuration")
         replicas = entry.get("replicas", 1)
         if not isinstance(replicas, int) or replicas < 1:
             raise ValueError("NF-FG JSON: replicas must be a positive "
@@ -109,32 +127,35 @@ def nffg_from_dict(document: dict[str, Any]) -> Nffg:
             technology=entry.get("technology"),
             config={str(k): str(v) for k, v in config.items()},
             replicas=replicas))
-    for entry in body.get("end-points", []):
+    for entry in _typed(body.get("end-points", []), list, "end-points"):
+        _typed(entry, dict, "each end-point")
         graph.endpoints.append(Endpoint(
             ep_id=str(_require(entry, "id", "end-point")),
             ep_type=str(entry.get("type", "interface")),
             interface=str(_require(entry, "interface", "end-point")),
             vlan_id=entry.get("vlan-id")))
-    big_switch = body.get("big-switch", {})
-    for entry in big_switch.get("flow-rules", []):
-        raw_match = _require(entry, "match", "flow-rule")
+    big_switch = _typed(body.get("big-switch", {}), dict, "big-switch")
+    for entry in _typed(big_switch.get("flow-rules", []), list,
+                        "flow-rules"):
+        _typed(entry, dict, "each flow-rule")
+        raw_match = _typed(_require(entry, "match", "flow-rule"), dict,
+                           "a flow-rule match")
         kwargs = {name: raw_match[name] for name in _MATCH_FIELDS
                   if name in raw_match}
         match = FlowMatchSpec(
             port_in=PortRef.parse(str(_require(raw_match, "port_in",
                                                "flow-rule match"))),
             **kwargs)
-        action = _require(entry, "action", "flow-rule")
+        action = _typed(_require(entry, "action", "flow-rule"), dict,
+                        "a flow-rule action")
         graph.flow_rules.append(FlowRule(
             rule_id=str(_require(entry, "id", "flow-rule")),
             priority=int(entry.get("priority", 100)),
             match=match,
             output=PortRef.parse(str(_require(action, "output",
                                               "flow-rule action")))))
-    policies = body.get("scaling-policies", [])
-    if not isinstance(policies, list):
-        raise ValueError("NF-FG JSON: scaling-policies must be an array")
-    for entry in policies:
+    for entry in _typed(body.get("scaling-policies", []), list,
+                        "scaling-policies"):
         graph.policies.append(ScalingPolicy.from_dict(entry))
     return graph
 

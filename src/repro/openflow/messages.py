@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.net.addresses import MacAddress, int_to_ip, ip_to_int, parse_cidr
+from repro.net.ethernet import EthernetFrame
 from repro.switch.actions import (
     Action,
     Controller,
@@ -241,6 +242,8 @@ def _decode_actions(data: bytes, offset: int) -> tuple[list[Action], int]:
             actions.append(Output(struct.unpack("!H", payload)[0]))
         elif atype == _AT_PUSH_VLAN:
             vid, pcp = struct.unpack("!HB", payload)
+            if pcp > 7:  # the frame constructor would reject it per frame
+                raise CodecError(f"VLAN PCP out of range: {pcp}")
             actions.append(PushVlan(vid, pcp))
         elif atype == _AT_POP_VLAN:
             actions.append(PopVlan())
@@ -391,7 +394,9 @@ def encode_stats_reply(xid: int, kind: int,
 
 
 def decode_message(data: bytes) -> Message:
-    """Decode one complete message; raises :class:`CodecError` on junk."""
+    """Decode one complete message; raises :class:`CodecError` on junk
+    — including a garbled body (short struct, bad enum or field value,
+    unparseable packet-out frame), never the underlying error."""
     if len(data) < _HEADER.size:
         raise CodecError("truncated header")
     version, raw_type, length, xid = _HEADER.unpack_from(data, 0)
@@ -404,7 +409,14 @@ def decode_message(data: bytes) -> Message:
     except ValueError:
         raise CodecError(f"unknown message type {raw_type}") from None
     message = Message(msg_type=msg_type, xid=xid)
-    body = data[_HEADER.size:]
+    try:
+        return _decode_body(message, data[_HEADER.size:])
+    except (ValueError, IndexError, struct.error) as exc:
+        raise CodecError(f"malformed {msg_type.name} body: {exc}") from exc
+
+
+def _decode_body(message: Message, body: bytes) -> Message:
+    msg_type = message.msg_type
     if msg_type in (OfpType.HELLO, OfpType.FEATURES_REQUEST,
                     OfpType.BARRIER_REQUEST, OfpType.BARRIER_REPLY):
         return message
@@ -444,6 +456,7 @@ def decode_message(data: bytes) -> Message:
         message.in_port = in_port
         message.actions, offset = _decode_actions(body, 2)
         message.frame = body[offset:]
+        EthernetFrame.from_bytes(message.frame)  # the agent executes it
         return message
     if msg_type == OfpType.STATS_REQUEST:
         message.stats_kind = body[0]

@@ -15,16 +15,12 @@ Three sweeps:
   steering shape.
 
 * **Chain** — wires N datapaths in a row with virtual links (the
-  Figure-1 LSI chain) and times four cost models: per-frame
-  :meth:`Datapath.process` with *interpreted* actions (the pre-PR
-  cost model), :meth:`Datapath.process_batch_from` with compiled
-  actions and zero-reparse ``ParsedFrame`` carry but fusion disabled
-  (the per-hop batch path), chain fusion on but per-port dispatch off
-  (one straight-line program per batch group, a single indexed lookup
-  at chain ingress), and the production configuration — fusion *and*
-  the per-port dispatch tables (:class:`FusionEngine.dispatch`), where
-  steady-state frames jump from ingress straight to their fused
-  program without walking the flow table at all.
+  Figure-1 LSI chain) and times three legs: per-frame
+  :meth:`Datapath.process`, the per-hop batch path
+  (:meth:`Datapath.process_batch_from` with a no-op tap on every hop,
+  so no hop fuses), and production ``process_batch_from`` — chain
+  fusion plus the per-port dispatch tables, where steady-state frames
+  jump from ingress straight to their fused program.
 
 :func:`check_lb_fusion` is a behavioral probe, not a timing: a
 chain-2 graph whose terminal is a stateful ``SelectOutput`` spread
@@ -71,7 +67,6 @@ __all__ = [
     "ChainPoint",
     "CHAIN_BATCH_TARGET",
     "DISPATCH_CHAIN_TARGET_AT_4",
-    "FUSED_CHAIN_TARGET_AT_4",
     "LookupPoint",
     "SMALL_TABLE_FLOOR",
     "SPEEDUP_TARGET_AT_1K",
@@ -93,25 +88,18 @@ __all__ = [
 
 #: Acceptance floor: indexed vs linear speedup at the 1k-entry point.
 SPEEDUP_TARGET_AT_1K = 10.0
-#: Acceptance floor: batched+compiled chain traversal vs per-frame
-#: interpreted execution at the longest measured chain.
+#: Acceptance floor: the per-hop batch path (tapped hops) vs per-frame
+#: :meth:`Datapath.process` at the longest measured chain.
 CHAIN_BATCH_TARGET = 1.3
-#: Acceptance floor at chain length 4 specifically: with zero-reparse
-#: ``ParsedFrame`` carry and single-port batch ingress the deep-chain
-#: point must clear this (the pre-carry pipeline sat at ~1.45-1.6x).
+#: Acceptance floor for the same ratio at chain length 4 specifically:
+#: with zero-reparse ``ParsedFrame`` carry and single-port batch
+#: ingress the deep-chain point must clear this.
 CHAIN_BATCH_TARGET_AT_4 = 1.8
-#: Regression floor for *every* chain length: batching must never be
-#: meaningfully slower than the per-frame path.
+#: Regression floor for *every* chain length and both batch legs:
+#: batching must never be meaningfully slower than the per-frame path.
 CHAIN_POINT_FLOOR = 0.9
-#: Acceptance target at chain length 4 for the *fused* leg: whole-chain
-#: straight-line programs vs per-frame interpretation.  The per-hop
-#: batch path sits at ~3.25x; fusion must roughly double it.
-FUSED_CHAIN_TARGET_AT_4 = 6.0
-#: Acceptance target at chain length 4 for the *dispatch-fused* leg —
-#: the production configuration: per-port dispatch tables skip the
-#: ingress table walk entirely, and byte-splice terminals replace the
-#: per-frame ``derive()`` rewrite.  Fusion alone sits at ~7x; dispatch
-#: must push past this.
+#: Acceptance target at chain length 4 for the production leg (fusion
+#: plus dispatch) vs per-frame :meth:`Datapath.process`.
 DISPATCH_CHAIN_TARGET_AT_4 = 9.0
 #: Acceptance floor: small tables (<= bypass threshold) must not lose
 #: to the bare reference linear scan.
@@ -161,20 +149,14 @@ class LookupPoint:
 class ChainPoint:
     """One chain-length point of the pipeline sweep.
 
-    ``single_pps`` is per-frame :meth:`Datapath.process` with
-    interpreted actions (the pre-compilation cost model);
-    ``batched_pps`` is :meth:`Datapath.process_batch_from` with
-    compiled actions and per-batch counters but fusion disabled (the
-    per-hop batch path); ``fused_pps`` re-enables chain fusion with
-    the per-port dispatch layer off (one indexed lookup per frame at
-    chain ingress); ``dispatch_pps`` is the production configuration —
-    fusion plus dispatch tables, no ingress table walk at all.
-    ``fused_hits`` counts frames the ingress engine actually delivered
-    through fused programs during the fused leg (0 at chain length 1,
-    where single-hop "chains" stay on the already-optimal per-hop path
-    by design); ``dispatch_hits`` counts frames that skipped the
-    ingress walk through a dispatch slot during the dispatch leg.
-    ``wall_s`` / ``repeats`` as on :class:`LookupPoint`.
+    ``single_pps`` is per-frame :meth:`Datapath.process`,
+    ``batched_pps`` the per-hop batch path (tapped hops),
+    ``dispatch_pps`` production ``process_batch_from``; both speedups
+    are over ``single_pps``.  ``fused_hits`` / ``dispatch_hits`` count
+    the production leg's frames that ran fused programs / skipped the
+    ingress walk (both 0 at chain length 1, where single-hop "chains"
+    stay on the already-optimal per-hop path by design).  ``wall_s`` /
+    ``repeats`` as on :class:`LookupPoint`.
     """
 
     chain_length: int
@@ -182,8 +164,6 @@ class ChainPoint:
     single_pps: float
     batched_pps: float
     speedup: float
-    fused_pps: float = 0.0
-    fused_speedup: float = 0.0
     fused_hits: int = 0
     dispatch_pps: float = 0.0
     dispatch_speedup: float = 0.0
@@ -390,19 +370,19 @@ def _build_chain(length: int) -> list[Datapath]:
     return hops
 
 
+def _no_tap(in_port: int, frame) -> None:
+    """A tap that observes nothing; attaching it pins the per-hop path."""
+
+
 def sweep_chain(lengths=(1, 2, 4), packets: int = 1000,
                 seed: int = 11, repeats: int = 3) -> list[ChainPoint]:
-    """Time the four chain cost models at each length.
+    """Time the three chain legs at each length.
 
-    Four legs per length, same frames, same wiring: per-frame
-    interpreted :meth:`Datapath.process` (the pre-compilation cost
-    model), per-hop batched with compiled actions but fusion *off*
-    (the pre-fusion cost model, and the fusion fallback path), batched
-    with chain fusion on but the per-port dispatch layer off (the
-    whole chain runs as one straight-line program per batch group,
-    reached through one indexed lookup per frame), and the production
-    configuration — fusion plus dispatch tables, where steady-state
-    frames skip the ingress table walk entirely.
+    Same frames, same wiring, one chain per length: per-frame
+    :meth:`Datapath.process`, the per-hop batch path (a no-op tap on
+    every hop, so no hop fuses), and production
+    :meth:`Datapath.process_batch_from` — fusion plus dispatch tables,
+    where steady-state frames skip the ingress table walk entirely.
     """
     rng = random.Random(seed)
     frames = [make_udp_frame(_MAC_A, _MAC_B, "10.0.0.1", "10.0.0.2",
@@ -424,43 +404,33 @@ def sweep_chain(lengths=(1, 2, 4), packets: int = 1000,
         def run_batched():
             first.process_batch_from(1, frames)
 
-        for hop in hops:
-            hop.compiled_actions = False
         single_elapsed, single_wall = _best_elapsed(run_single, repeats)
 
         for hop in hops:
-            hop.compiled_actions = True
-            hop.fusion.enabled = False
+            hop.taps.append(_no_tap)
         batched_elapsed, batched_wall = _best_elapsed(run_batched, repeats)
+        assert first.fusion.hits == 0, \
+            f"chain {length}: tapped per-hop leg fused frames"
 
         for hop in hops:
-            hop.fusion.enabled = True
-            hop.fusion.dispatch_enabled = False
-        fused_elapsed, fused_wall = _best_elapsed(run_batched, repeats)
-        fused_hits = first.fusion.hits
-
-        for hop in hops:
-            hop.fusion.dispatch_enabled = True
+            hop.taps.remove(_no_tap)
         dispatch_elapsed, dispatch_wall = _best_elapsed(
             run_batched, repeats)
-        dispatch_hits = first.fusion.dispatch_hits
 
-        assert sink.tx_packets == len(warmup) + 4 * repeats * packets, \
+        assert sink.tx_packets == len(warmup) + 3 * repeats * packets, \
             f"chain {length}: sink saw {sink.tx_packets} frames"
         single_pps = packets / single_elapsed
         batched_pps = packets / batched_elapsed
-        fused_pps = packets / fused_elapsed
         dispatch_pps = packets / dispatch_elapsed
         points.append(ChainPoint(
             chain_length=length, packets=packets, single_pps=single_pps,
             batched_pps=batched_pps, speedup=batched_pps / single_pps,
-            fused_pps=fused_pps, fused_speedup=fused_pps / single_pps,
-            fused_hits=fused_hits,
+            fused_hits=first.fusion.hits,
             dispatch_pps=dispatch_pps,
             dispatch_speedup=dispatch_pps / single_pps,
-            dispatch_hits=dispatch_hits,
+            dispatch_hits=first.fusion.dispatch_hits,
             wall_s={"single": single_wall, "batched": batched_wall,
-                    "fused": fused_wall, "dispatch": dispatch_wall},
+                    "dispatch": dispatch_wall},
             repeats=repeats))
     return points
 
@@ -502,10 +472,10 @@ def count_chain_excess_parse_frame(length: int, packets: int = 50,
     rewrites any frame), runs one batch of raw frames through it while
     counting every ``parse_frame`` call the datapath makes, and returns
     the excess over one-parse-per-frame at ingress.  Must never be
-    positive: ``fused=False`` pins the per-hop batch pipeline at
-    exactly 0 (carried :class:`ParsedFrame` views make re-parsing at
-    hops 2..N structurally impossible), while ``fused=True`` — the
-    production path, dispatch tables on — goes *negative* at
+    positive: ``fused=False`` pins the per-hop batch pipeline (a no-op
+    tap on every hop) at exactly 0 (carried :class:`ParsedFrame` views
+    make re-parsing at hops 2..N structurally impossible), while
+    ``fused=True`` — the production path — goes *negative* at
     multi-hop lengths: dispatch-hit frames are parked raw and a plain
     fused chain delivers them without decoding past L2, so even the
     ingress parse disappears.
@@ -517,8 +487,9 @@ def count_chain_excess_parse_frame(length: int, packets: int = 50,
                              4000 + rng.randrange(1000), 5001, b"x")
               for _ in range(packets)]
     hops = _build_chain(length)
-    for hop in hops:
-        hop.fusion.enabled = fused
+    if not fused:
+        for hop in hops:
+            hop.taps.append(_no_tap)
     calls = [0]
     original = datapath_module.parse_frame
 
@@ -534,10 +505,10 @@ def count_chain_excess_parse_frame(length: int, packets: int = 50,
     sink = hops[-1].port_by_name("sink")
     assert sink.tx_packets == packets, \
         f"chain {length}: sink saw {sink.tx_packets}/{packets} frames"
-    if fused and length >= 2:
-        assert hops[0].fusion.hits == packets, \
-            f"chain {length}: fusion engaged for only " \
-            f"{hops[0].fusion.hits}/{packets} frames"
+    expected_hits = packets if fused and length >= 2 else 0
+    assert hops[0].fusion.hits == expected_hits, \
+        f"chain {length}: fusion delivered " \
+        f"{hops[0].fusion.hits}/{packets} frames (expected {expected_hits})"
     return calls[0] - packets
 
 
@@ -981,60 +952,40 @@ def check_results(results: dict) -> None:
         if not quick:
             longest = max(chain, key=lambda p: p["chain_length"])
             assert longest["speedup"] >= CHAIN_BATCH_TARGET, (
-                f"batched+compiled chain only {longest['speedup']:.2f}x "
-                f"over per-frame interpretation at length "
+                f"per-hop batched chain only {longest['speedup']:.2f}x "
+                f"over per-frame process() at length "
                 f"{longest['chain_length']} (target {CHAIN_BATCH_TARGET}x)")
             at_four = next(
                 (p for p in chain if p["chain_length"] == 4), None)
             if at_four is not None:
                 assert at_four["speedup"] >= CHAIN_BATCH_TARGET_AT_4, (
-                    f"zero-reparse chain only {at_four['speedup']:.2f}x "
-                    f"over per-frame interpretation at length 4 "
-                    f"(target {CHAIN_BATCH_TARGET_AT_4}x)")
-                fused_at_four = at_four.get("fused_speedup")
-                if fused_at_four:
-                    assert fused_at_four >= FUSED_CHAIN_TARGET_AT_4, (
-                        f"fused chain only {fused_at_four:.2f}x over "
-                        f"per-frame interpretation at length 4 "
-                        f"(target {FUSED_CHAIN_TARGET_AT_4}x)")
-                dispatch_at_four = at_four.get("dispatch_speedup")
-                if dispatch_at_four:
-                    assert dispatch_at_four >= DISPATCH_CHAIN_TARGET_AT_4, (
-                        f"dispatch-fused chain only "
-                        f"{dispatch_at_four:.2f}x over per-frame "
-                        f"interpretation at length 4 "
+                    f"zero-reparse per-hop chain only "
+                    f"{at_four['speedup']:.2f}x over per-frame process() "
+                    f"at length 4 (target {CHAIN_BATCH_TARGET_AT_4}x)")
+                assert at_four["dispatch_speedup"] \
+                    >= DISPATCH_CHAIN_TARGET_AT_4, (
+                        f"production chain only "
+                        f"{at_four['dispatch_speedup']:.2f}x over "
+                        f"per-frame process() at length 4 "
                         f"(target {DISPATCH_CHAIN_TARGET_AT_4}x)")
         for point in chain:
+            # Point floors (quick and full mode): neither batch leg may
+            # regress below the per-frame path, and on every multi-hop
+            # point the production leg must actually fuse and dispatch.
+            length = point["chain_length"]
             assert point["speedup"] >= CHAIN_POINT_FLOOR, (
-                f"batched chain regressed at length "
-                f"{point['chain_length']}: {point['speedup']:.2f}x")
-            fused_speedup = point.get("fused_speedup")
-            if fused_speedup:
-                # Fusion-active smoke (quick and full mode): a fused
-                # leg that measured anything must have actually fused
-                # at every multi-hop length, and must never regress
-                # below the per-frame path.
-                assert fused_speedup >= CHAIN_POINT_FLOOR, (
-                    f"fused chain regressed at length "
-                    f"{point['chain_length']}: {fused_speedup:.2f}x")
-                if point["chain_length"] >= 2:
-                    assert point.get("fused_hits", 0) > 0, (
-                        f"fusion never engaged at chain length "
-                        f"{point['chain_length']} (0 fused hits)")
-            dispatch_speedup = point.get("dispatch_speedup")
-            if dispatch_speedup:
-                # Dispatch smoke (quick and full mode): the production
-                # leg must never regress below the per-frame path, and
-                # on every multi-hop point the per-port dispatch table
-                # must actually carry frames past the ingress walk.
-                assert dispatch_speedup >= CHAIN_POINT_FLOOR, (
-                    f"dispatch-fused chain regressed at length "
-                    f"{point['chain_length']}: {dispatch_speedup:.2f}x")
-                if point["chain_length"] >= 2:
-                    assert point.get("dispatch_hits", 0) > 0, (
-                        f"per-port dispatch never engaged at chain "
-                        f"length {point['chain_length']} "
-                        f"(0 dispatch hits)")
+                f"per-hop batched chain regressed at length {length}: "
+                f"{point['speedup']:.2f}x")
+            assert point["dispatch_speedup"] >= CHAIN_POINT_FLOOR, (
+                f"production chain regressed at length {length}: "
+                f"{point['dispatch_speedup']:.2f}x")
+            if length >= 2:
+                assert point["fused_hits"] > 0, (
+                    f"fusion never engaged at chain length {length} "
+                    f"(0 fused hits)")
+                assert point["dispatch_hits"] > 0, (
+                    f"per-port dispatch never engaged at chain length "
+                    f"{length} (0 dispatch hits)")
     action_speedups = [p["speedup"] for p in results.get("actions", [])]
     if action_speedups:
         mean = sum(action_speedups) / len(action_speedups)
@@ -1195,22 +1146,15 @@ def format_results(results: dict) -> str:
                          f"{point['compiled_pps']:>13.0f} "
                          f"{point['speedup']:>8.2f}x")
     lines.append("")
-    lines.append(f"{'chain':>6} {'single pps':>12} {'batched pps':>13} "
-                 f"{'speedup':>9} {'fused pps':>12} {'fused':>8} "
-                 f"{'dispatch pps':>13} {'dispatch':>9}")
+    lines.append(f"{'chain':>6} {'single pps':>12} {'per-hop pps':>13} "
+                 f"{'speedup':>9} {'production pps':>15} {'speedup':>9}")
     for point in results["chain"]:
-        fused_pps = point.get("fused_pps", 0.0)
-        fused_speedup = point.get("fused_speedup", 0.0)
-        dispatch_pps = point.get("dispatch_pps", 0.0)
-        dispatch_speedup = point.get("dispatch_speedup", 0.0)
         lines.append(f"{point['chain_length']:>6} "
                      f"{point['single_pps']:>12.0f} "
                      f"{point['batched_pps']:>13.0f} "
                      f"{point['speedup']:>8.2f}x "
-                     f"{fused_pps:>12.0f} "
-                     f"{fused_speedup:>7.2f}x "
-                     f"{dispatch_pps:>13.0f} "
-                     f"{dispatch_speedup:>8.2f}x")
+                     f"{point['dispatch_pps']:>15.0f} "
+                     f"{point['dispatch_speedup']:>8.2f}x")
     autoscale = results.get("autoscale")
     if autoscale:
         lines.append("")

@@ -34,12 +34,7 @@ from repro.switch.actions import (
     rendezvous_select,
 )
 from repro.switch.datapath import Datapath, SwitchPort
-from repro.switch.flowtable import (
-    FlowEntry,
-    FlowMatch,
-    FlowTable,
-    FlowTableOracleError,
-)
+from repro.switch.flowtable import FlowEntry, FlowMatch, FlowTable
 from repro.switch.fusion import FusedChain, FusionEngine
 from repro.switch.lsi import LogicalSwitchInstance, VirtualLink
 from repro.switch.state import FlowStateRegistry, FlowStateTable
@@ -53,7 +48,6 @@ __all__ = [
     "FlowStateRegistry",
     "FlowStateTable",
     "FlowTable",
-    "FlowTableOracleError",
     "FusedChain",
     "FusionEngine",
     "LogicalSwitchInstance",

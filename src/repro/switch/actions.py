@@ -426,8 +426,9 @@ def compile_actions(actions: Sequence[Action]) -> CompiledActions:
     list: transforms apply left to right, an :class:`ActionError`
     increments ``dp.action_errors`` and aborts the rest of the list
     (frames already emitted stay emitted), and a list containing no
-    Output/Controller counts the frame as dropped.  The property suite
-    in ``tests/test_compiled_actions.py`` asserts this equivalence over
+    Output/Controller counts the frame as dropped.  A property suite
+    asserts this equivalence against
+    :meth:`~repro.switch.datapath.Datapath.execute_interpreted` over
     random action lists and frames.
 
     Constant work happens here, not per frame: set-field targets (e.g.

@@ -31,23 +31,24 @@ layers carry over, anything the rewrite could have touched is dropped.
 
 Action execution is *compiled*: every matching frame runs its entry's
 cached closure (one call — see
-:func:`repro.switch.actions.compile_actions`).  Set
-``datapath.compiled_actions = False`` to fall back to the interpreted
-reference loop (:meth:`Datapath.execute_interpreted`), which the perf
-sweep uses as its baseline and the property suite as its oracle.
+:func:`repro.switch.actions.compile_actions`).
+:meth:`Datapath.execute_interpreted` is the reference interpreter: it
+runs one-shot action lists (OpenFlow packet-out), the perf sweep times
+it as its action baseline, and the test-side reference switch builds
+on it.
 
 One level further up sits *chain fusion*
 (:mod:`repro.switch.fusion`): when an ingress entry's whole chain —
-pure-output/rewrite hops over ``carry_parsed`` links to a terminal
-egress — is statically determined, the batch paths collect its frames
-into one group and settle the entire traversal at flush through a
-:class:`~repro.switch.fusion.FusedChain`: a single ingress lookup, no
-intermediate ``carry_batch``/``process_batch_from`` round-trips, all
-per-hop counters accumulated arithmetically.  Fused programs are
-re-validated immediately before running, so any mid-batch change
-along the chain falls the group back to the per-hop batch path, which
-stays the differential oracle (``datapath.fusion.enabled = False``
-pins it).
+pure-output/rewrite hops over virtual links to a terminal egress — is
+statically determined, the batch paths collect its frames into one
+group and settle the entire traversal at flush through a
+:class:`~repro.switch.fusion.FusedChain`: a single ingress lookup (or
+none, through a per-port dispatch slot), no intermediate
+``carry_batch``/``process_batch_from`` round-trips, all per-hop
+counters accumulated arithmetically.  Fused programs are re-validated
+immediately before running, so any mid-batch change along the chain
+falls the group back to the per-hop batch path.  A datapath with a tap
+attached never fuses, so a tap on every hop pins the per-hop path.
 
 Batch contracts (both batch paths): the ingress port is resolved once
 per same-port run (not per frame), taps run in a pre-pass over the
@@ -112,18 +113,14 @@ class SwitchPort:
             self.peer_link.carry(self, frame)
 
     def deliver_out_batch(self, frames: list[ParsedFrame],
-                          nbytes: Optional[int] = None) -> None:
+                          nbytes: int) -> None:
         """Batch egress of carried parses: a device receives the raw
         frames in one ``transmit_batch``, a virtual-link peer receives
         the parsed views in one carry (no re-parse at the far LSI).
-
-        ``nbytes`` is the batch's total wire length, accumulated by the
-        datapath's emit closures as frames were queued — passing it
-        spares the flush a second ``wire_len`` pass; ``None`` (direct
-        callers) re-sums."""
+        ``nbytes`` is the batch's total wire length, accumulated as the
+        frames were queued."""
         self.tx_packets += len(frames)
-        self.tx_bytes += (nbytes if nbytes is not None
-                          else sum(parsed.wire_len for parsed in frames))
+        self.tx_bytes += nbytes
         if self.device is not None:
             self.device.transmit_batch([parsed.eth for parsed in frames])
         elif self.peer_link is not None:
@@ -139,24 +136,20 @@ class _BatchState:
     closures bound to them, and — when fusion is engaged — the fused
     groups awaiting settlement in :meth:`Datapath._finish_batch`.
 
-    ``fusion`` is the ingress datapath's engine when fusion is live
-    for this batch (enabled, compiled mode, no taps), else ``None``.
-    ``fused`` maps ingress ``entry_id`` to
+    ``fusion`` is the ingress datapath's engine when fusion and the
+    per-port dispatch layer are live for this batch (no taps), else
+    ``None``.  ``fused`` maps ingress ``entry_id`` to
     ``[program, frames, nbytes, in_port, disp_n, disp_bytes]``
     groups — ``disp_n``/``disp_bytes`` count the group's frames that
     arrived through a dispatch slot and therefore still owe their
     ingress lookup/flow counters at flush (lookup-path frames settled
     theirs through ``pending``).  One group per entry regardless of
     arrival path, so per-entry egress order survives a mid-batch mix
-    of dispatch hits and lookup hits.  ``dispatch_engaged`` records
-    whether the per-port dispatch layer was live for this batch (it
-    additionally requires ``fusion.dispatch_enabled`` and the table's
-    oracle mode off — dispatch skips ``lookup()``, which would
-    silently bypass the oracle cross-check).
+    of dispatch hits and lookup hits.
     """
 
     __slots__ = ("pending", "queues", "emit", "emit_carry", "enqueue",
-                 "fusion", "fused", "dispatch_engaged", "trace")
+                 "fusion", "fused", "trace")
 
 
 class Datapath:
@@ -175,9 +168,6 @@ class Datapath:
         self.table_misses = 0
         self.dropped = 0
         self.action_errors = 0
-        #: False switches execute() to the interpreted reference loop
-        #: (perf baseline / property-test oracle).
-        self.compiled_actions = True
         #: ``[ParsedFrame, wire_len]`` of the frame whose actions are
         #: currently executing.  Every ingress path rebinds slot 0
         #: before actions run; compiled programs that need header
@@ -188,9 +178,8 @@ class Datapath:
         #: programs read the cell before any punt.
         self.carried: list = [None, 0]
         #: Chain-fusion engine for chains whose *ingress* is this LSI
-        #: (see :mod:`repro.switch.fusion`).  On by default; the perf
-        #: sweep's per-hop leg and the differential oracle disable it
-        #: per instance.
+        #: (see :mod:`repro.switch.fusion`).  Engaged for every batch
+        #: that runs on a tap-free datapath.
         self.fusion = FusionEngine(self)
         #: Per-flow state tables consulted by stateful select-output
         #: actions (``SelectOutput.group``); see
@@ -275,7 +264,7 @@ class Datapath:
         carried = self.carried
         carried[0] = parsed
         carried[1] = parsed.wire_len
-        self.execute(entry, in_port, frame)
+        entry.compiled(self, in_port, frame, self._emit)
 
     def _batch_emit(self, queues: dict[int, list], carried: list):
         """Build the shared egress closures of one batch run.
@@ -289,11 +278,11 @@ class Datapath:
         over the whole queue.  Two emit closures share the queues,
         selected per entry by the compiled program's ``mutates`` tag:
 
-        * ``emit`` (mutating programs, and the interpreted loop)
-          re-attaches the carried parse to whatever the program hands
-          back — an emitted frame identical to the ingress frame keeps
-          its parse wholesale, a rewritten frame gets a parse *derived*
-          from it, so still-valid layers are never decoded again;
+        * ``emit`` (mutating programs) re-attaches the carried parse to
+          whatever the program hands back — an emitted frame identical
+          to the ingress frame keeps its parse wholesale, a rewritten
+          frame gets a parse *derived* from it, so still-valid layers
+          are never decoded again;
         * ``emit_carry`` (non-mutating programs) skips even that
           identity check: such a program only ever emits the ingress
           frame object itself, so the carried parse (and its
@@ -301,10 +290,11 @@ class Datapath:
 
         Pure-output entries (``compiled.out_port`` set) bypass all of
         this: the batch loops inline the enqueue per entry and never
-        rebind ``carried`` for them; ``enqueue`` is returned so those
-        inline paths can hand cold ports / FLOOD to ``_route``.
+        rebind ``carried`` for them.  Every enqueue site inlines the hot
+        case (a port that already has a queue) and hands the miss arm —
+        first frame for a port, FLOOD, unknown port — to :meth:`_route`
+        with ``enqueue`` as its delivery.
         """
-        ports = self.ports
 
         def enqueue(number: int, port: SwitchPort,
                     parsed: ParsedFrame) -> None:
@@ -315,6 +305,8 @@ class Datapath:
                 acc[0].append(parsed)
                 acc[1] += parsed.wire_len
 
+        route = self._route
+
         def emit(out_port: int, in_port: int, frame: EthernetFrame) -> None:
             parsed = carried[0]
             if frame is not parsed.eth:
@@ -322,31 +314,21 @@ class Datapath:
                 size = parsed.wire_len
             else:
                 size = carried[1]
-            # Unicast to an already-seen port is the hot case: one dict
-            # hit and an append.  Everything else (first frame for a
-            # port, FLOOD, unknown port) takes the shared _route policy.
             acc = queues.get(out_port)
             if acc is not None:
                 acc[0].append(parsed)
                 acc[1] += size
-                return
-            if out_port == FLOOD_PORT or out_port not in ports:
-                self._route(out_port, in_port, parsed, enqueue)
-                return
-            queues[out_port] = [[parsed], size]
+            else:
+                route(out_port, in_port, parsed, enqueue)
 
         def emit_carry(out_port: int, in_port: int,
                        frame: EthernetFrame) -> None:
-            parsed = carried[0]
             acc = queues.get(out_port)
             if acc is not None:
-                acc[0].append(parsed)
+                acc[0].append(carried[0])
                 acc[1] += carried[1]
-                return
-            if out_port == FLOOD_PORT or out_port not in ports:
-                self._route(out_port, in_port, parsed, enqueue)
-                return
-            queues[out_port] = [[parsed], carried[1]]
+            else:
+                route(out_port, in_port, carried[0], enqueue)
 
         return emit, emit_carry, enqueue
 
@@ -373,14 +355,10 @@ class Datapath:
         state.queues = {}
         state.emit, state.emit_carry, state.enqueue = \
             self._batch_emit(state.queues, self.carried)
-        engine = self.fusion
-        # Fusion engages only when the chain hot path itself would run
-        # unobserved: compiled mode and no taps (a tap must see every
-        # frame per hop, which a fused chain by design does not do).
-        state.fusion = (engine if engine.enabled and self.compiled_actions
-                        and not self.taps else None)
+        # Fusion engages unless a tap is attached: a tap must see every
+        # frame per hop, which a fused chain by design does not do.
+        state.fusion = None if self.taps else self.fusion
         state.fused = {}
-        state.dispatch_engaged = False
         tracer = self.tracer
         if tracer is None:
             state.trace = None
@@ -423,23 +401,20 @@ class Datapath:
                 for tap in taps:
                     tap(in_port, eth)
         table = self.table
-        ports = self.ports
-        compiled = self.compiled_actions
         pending = state.pending
         queues = state.queues
         emit = state.emit
         emit_carry = state.emit_carry
         enqueue = state.enqueue
+        route = self._route
         fusion = state.fusion
         fused = state.fused
         carried = self.carried
         dispatch = None
-        if fusion is not None and fusion.dispatch_enabled \
-                and not table.oracle:
+        if fusion is not None:
             dispatch = fusion.dispatch.get(in_port)
             if dispatch is None:
                 dispatch = fusion.dispatch[in_port] = {}
-            state.dispatch_engaged = True
         packets = 0
         nbytes = 0
 
@@ -526,32 +501,23 @@ class Datapath:
                             group[1].append(parsed)
                             group[2] += size
                         continue
-                if compiled:
-                    out_fast = entry.fast_out
-                    if out_fast is not None:
-                        # Pure-output hop: enqueue the carried parse
-                        # with one dict hit and an append — no carried
-                        # rebind, no program call, no emit closure.
-                        acc = queues.get(out_fast)
-                        if acc is not None:
-                            acc[0].append(parsed)
-                            acc[1] += size
-                        elif out_fast == FLOOD_PORT \
-                                or out_fast not in ports:
-                            self._route(out_fast, in_port, parsed, enqueue)
-                        else:
-                            queues[out_fast] = [[parsed], size]
-                        continue
-                    carried[0] = parsed
-                    carried[1] = size
-                    program = entry.compiled
-                    program(self, in_port, parsed.eth,
-                            emit if program.mutates else emit_carry)
-                else:
-                    carried[0] = parsed
-                    carried[1] = size
-                    self.execute_interpreted(entry.actions, in_port,
-                                             parsed.eth, emit)
+                out_fast = entry.fast_out
+                if out_fast is not None:
+                    # Pure-output hop: enqueue the carried parse with
+                    # one dict hit and an append — no carried rebind, no
+                    # program call, no emit closure.
+                    acc = queues.get(out_fast)
+                    if acc is not None:
+                        acc[0].append(parsed)
+                        acc[1] += size
+                    else:
+                        route(out_fast, in_port, parsed, enqueue)
+                    continue
+                carried[0] = parsed
+                carried[1] = size
+                program = entry.compiled
+                program(self, in_port, parsed.eth,
+                        emit if program.mutates else emit_carry)
         finally:
             # A bad frame or raising handler must not lose the run's
             # prefix: account what was actually pulled and processed.
@@ -573,29 +539,18 @@ class Datapath:
         frame the per-hop path would have paid at ingress.
         """
         queues = state.queues
-        ports = self.ports
         carried = self.carried
         frames = [parsed if type(parsed) is ParsedFrame
                   else parse_frame(parsed) for parsed in frames]
-        if not self.compiled_actions:  # flipped mid-batch
-            for parsed in frames:
-                carried[0] = parsed
-                carried[1] = parsed.wire_len
-                self.execute_interpreted(entry.actions, in_port,
-                                         parsed.eth, state.emit)
-            return
         out_fast = entry.fast_out
         if out_fast is not None:
             for parsed in frames:
-                size = parsed.wire_len
                 acc = queues.get(out_fast)
                 if acc is not None:
                     acc[0].append(parsed)
-                    acc[1] += size
-                elif out_fast == FLOOD_PORT or out_fast not in ports:
-                    self._route(out_fast, in_port, parsed, state.enqueue)
+                    acc[1] += parsed.wire_len
                 else:
-                    queues[out_fast] = [[parsed], size]
+                    self._route(out_fast, in_port, parsed, state.enqueue)
             return
         program = entry.compiled
         deliver = state.emit if program.mutates else state.emit_carry
@@ -668,9 +623,8 @@ class Datapath:
                 matched += acc[1]
             fusion.hits += hits
             fusion.misses += matched - hits
-            if state.dispatch_engaged:
-                fusion.dispatch_hits += dispatched
-                fusion.dispatch_misses += matched - dispatched
+            fusion.dispatch_hits += dispatched
+            fusion.dispatch_misses += matched - dispatched
             if shares is not None:
                 # Lookup-path frames count toward their entry's cookie;
                 # settle each graph's share with the same matched-minus
@@ -682,7 +636,6 @@ class Datapath:
                         if row is None:
                             row = shares[cookie] = [0, 0, 0]
                         row[0] += acc[1]
-                engaged = state.dispatch_engaged
                 cookie_stats = fusion.cookie_stats
                 for cookie, (c_matched, c_hits, c_disp) in shares.items():
                     totals = cookie_stats.get(cookie)
@@ -690,9 +643,8 @@ class Datapath:
                         totals = cookie_stats[cookie] = [0, 0, 0, 0]
                     totals[0] += c_hits
                     totals[1] += c_matched - c_hits
-                    if engaged:
-                        totals[2] += c_disp
-                        totals[3] += c_matched - c_disp
+                    totals[2] += c_disp
+                    totals[3] += c_matched - c_disp
         self._flush_batch(state.pending, state.queues)
         if state.trace is not None:
             self.tracer.finish_batch(state.trace, self, state)
@@ -754,23 +706,15 @@ class Datapath:
         finally:
             self._finish_batch(state)
 
-    def execute(self, entry: FlowEntry, in_port: int,
-                frame: EthernetFrame, emit: Optional[EmitFn] = None) -> None:
-        """Run ``entry``'s actions on one frame (compiled by default)."""
-        deliver = self._emit if emit is None else emit
-        if self.compiled_actions:
-            entry.compiled(self, in_port, frame, deliver)
-        else:
-            self.execute_interpreted(entry.actions, in_port, frame, deliver)
-
     def execute_interpreted(self, actions: Iterable, in_port: int,
                             frame: EthernetFrame,
                             deliver: Optional[EmitFn] = None) -> None:
         """Reference action interpreter: per-frame type dispatch.
 
         Kept as the semantic baseline for the compiled closures — the
-        perf sweep times it and ``tests/test_compiled_actions.py``
-        asserts both paths produce identical emissions and counters.
+        perf sweep times it, the test-side reference switch executes
+        every entry through it, and a property suite asserts both
+        paths produce identical emissions and counters.
         It is also the right path for one-shot action lists (OpenFlow
         packet-out), which would waste a compile per message.
         """

@@ -36,12 +36,13 @@ the chain):
   threshold or shrinks back under it; ``FlowTable.index_active`` tells
   which mode the next lookup will use.
 
-* **Correctness oracle.**  :meth:`FlowTable.lookup_linear` keeps the
-  original priority-ordered linear scan (string-based matching and
-  all); setting ``table.oracle = True`` cross-checks every lookup —
-  in *both* bypass and indexed modes — against it and raises
-  :class:`FlowTableOracleError` on any divergence.  The property-based
-  suite drives both paths with random tables and frames.
+* **Reference scan.**  :meth:`FlowTable.lookup_linear` keeps the
+  original priority-ordered linear scan (string-based matching through
+  :meth:`FlowMatch.hits_reference`, no index, no counters).  The
+  property-based suite compares :meth:`FlowTable.lookup` against it —
+  in *both* bypass and indexed modes — over random tables and frames,
+  the perf sweep times it as the lookup baseline, and the test-side
+  reference switch looks every frame up through it.
 
 * **Compiled actions.**  A :class:`FlowEntry` compiles its action list
   into a fused closure (:func:`repro.switch.actions.compile_actions`)
@@ -69,8 +70,8 @@ from repro.switch.actions import compile_actions
 if TYPE_CHECKING:  # pragma: no cover
     from repro.switch.actions import Action, CompiledActions
 
-__all__ = ["ANY_VLAN", "FlowEntry", "FlowMatch", "FlowTable",
-           "FlowTableOracleError", "NO_VLAN", "SMALL_TABLE_THRESHOLD"]
+__all__ = ["ANY_VLAN", "FlowEntry", "FlowMatch", "FlowTable", "NO_VLAN",
+           "SMALL_TABLE_THRESHOLD"]
 
 #: Match any VLAN id (but the frame must be tagged).
 ANY_VLAN = -1
@@ -92,7 +93,7 @@ class FlowMatch:
     Construction compiles the concrete fields into integer-only
     predicates (see module docstring); :meth:`hits` evaluates the
     compiled form, :meth:`hits_reference` the original string-based
-    logic (kept as the oracle's reference).
+    logic (what :meth:`FlowTable.lookup_linear` scans with).
     """
 
     in_port: Optional[int] = None
@@ -212,7 +213,7 @@ class FlowMatch:
         return True
 
     def hits_reference(self, in_port: int, parsed: ParsedFrame) -> bool:
-        """Original (pre-index) matching logic; the oracle's reference."""
+        """Original (pre-index) string-based matching logic."""
         eth = parsed.eth
         if self.in_port is not None and in_port != self.in_port:
             return False
@@ -389,10 +390,6 @@ class FlowEntry:
                 f"actions[{acts}]")
 
 
-class FlowTableOracleError(AssertionError):
-    """Indexed lookup diverged from the reference linear scan."""
-
-
 def _sort_key(entry: FlowEntry) -> tuple[int, int]:
     return (-entry.priority, entry.entry_id)
 
@@ -407,8 +404,8 @@ class FlowTable:
 
     See the module docstring for the two-level index layout and the
     small-table bypass.  Public semantics are identical to a
-    priority-ordered linear scan; set ``oracle = True`` to verify that
-    on every lookup.  ``small_table_threshold`` is per-instance
+    priority-ordered linear scan (:meth:`lookup_linear`).
+    ``small_table_threshold`` is per-instance
     (default :data:`SMALL_TABLE_THRESHOLD`); set it to 0 to force the
     index on from the first entry.
     """
@@ -434,8 +431,6 @@ class FlowTable:
         #: a fused chain an immediate, safe fallback to the per-hop
         #: path, even when the mod lands mid-batch.
         self.version = 0
-        #: When True every lookup is cross-checked against the linear scan.
-        self.oracle = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -612,13 +607,6 @@ class FlowTable:
         """
         self.lookups += 1
         entry = self._select(in_port, parsed)
-        if self.oracle:
-            reference = self.lookup_linear(in_port, parsed)
-            if reference is not entry:
-                raise FlowTableOracleError(
-                    f"table {self.table_id}: indexed lookup returned "
-                    f"{entry and entry.describe()!r}, linear scan "
-                    f"{reference and reference.describe()!r}")
         if entry is not None and count:
             self.matches += 1
             entry.packets += 1

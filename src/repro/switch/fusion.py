@@ -32,10 +32,9 @@ prefix hops arithmetically and runs the per-frame replica pick — the
 same ``rendezvous_select`` / :class:`~repro.switch.state.FlowStateTable`
 pin lookup the compiled shapes use, constants hoisted at trace time —
 inside the fused program instead of bailing to the interpreter.
-Anything else — FLOOD, drops, punts, taps on a datapath,
-``carry_parsed=False`` links, interpreted mode, table misses, cycles —
-bails the trace, and the entry simply stays on the per-hop batch path
-(which remains the differential oracle for every fused program).
+Anything else — FLOOD, drops, punts, taps on a datapath, table
+misses, cycles — bails the trace, and the entry simply stays on the
+per-hop batch path.
 
 Terminal delivery is a *byte splice*: the composed header rewrite of
 the whole chain is precomputed at trace time into a field-merge
@@ -195,14 +194,12 @@ class FusedChain:
             dp = hop.dp
             if (hop.table.version != hop.version
                     or hop.entry.compiled is not hop.compiled
-                    or dp.taps or not dp.compiled_actions
+                    or dp.taps
                     or dp.ports.get(hop.out_no) is not hop.out_port
                     or hop.out_port.peer_link is not hop.link):
                 return False
             link = hop.link
-            if link is not None and (
-                    not link.carry_parsed
-                    or hop.far_port.datapath is not hop.far_dp):
+            if link is not None and hop.far_port.datapath is not hop.far_dp:
                 return False
         return self.hops[-1].out_port.device is self.device
 
@@ -333,19 +330,17 @@ class FusedSelectChain:
             dp = hop.dp
             if (hop.table.version != hop.version
                     or hop.entry.compiled is not hop.compiled
-                    or dp.taps or not dp.compiled_actions
+                    or dp.taps
                     or dp.ports.get(hop.out_no) is not hop.out_port
                     or hop.out_port.peer_link is not hop.link):
                 return False
             link = hop.link
-            if link is not None and (
-                    not link.carry_parsed
-                    or hop.far_port.datapath is not hop.far_dp):
+            if link is not None and hop.far_port.datapath is not hop.far_dp:
                 return False
         dp = self.dp
         if (self.table.version != self.version
                 or self.entry.compiled is not self.compiled
-                or dp.taps or not dp.compiled_actions):
+                or dp.taps):
             return False
         if self.group is not None and \
                 dp.flow_state.peek(self.group) is not self.state:
@@ -536,21 +531,12 @@ class FusionEngine:
     one attribute read and an int compare.
     """
 
-    __slots__ = ("dp", "enabled", "dispatch_enabled", "epoch",
-                 "dispatch", "hits", "misses", "dispatch_hits",
-                 "dispatch_misses", "invalidations", "programs_built",
-                 "track_cookies", "cookie_stats")
+    __slots__ = ("dp", "epoch", "dispatch", "hits", "misses",
+                 "dispatch_hits", "dispatch_misses", "invalidations",
+                 "programs_built", "track_cookies", "cookie_stats")
 
     def __init__(self, dp) -> None:
         self.dp = dp
-        #: Production default is on; the perf sweep's per-hop leg and
-        #: the differential suites flip it per instance.
-        self.enabled = True
-        #: Per-port dispatch over fused programs (see module
-        #: docstring).  Separately togglable so the perf sweep can
-        #: time plain fusion against dispatch fusion; production runs
-        #: with both on.
-        self.dispatch_enabled = True
         self.epoch = 1
         #: ``in_port -> {vlan-state -> [version, entry, program]}``
         #: dispatch slots.  ``vlan-state`` is the frame's tag state
@@ -589,8 +575,7 @@ class FusionEngine:
                 "dispatch-hits": self.dispatch_hits,
                 "dispatch-misses": self.dispatch_misses,
                 "invalidations": self.invalidations,
-                "programs-built": self.programs_built,
-                "enabled": self.enabled}
+                "programs-built": self.programs_built}
 
     def stats_for_cookie(self, cookie: int) -> dict:
         """One graph's share of this engine's fused/dispatch traffic
@@ -692,7 +677,7 @@ class FusionEngine:
             if key in seen:  # cycle
                 return None
             seen.add(key)
-            if dp.taps or not dp.compiled_actions:
+            if dp.taps:
                 return None
             actions = entry.actions
             if not actions:  # drop rule
@@ -786,8 +771,6 @@ class FusionEngine:
             link = port.peer_link
             if link is None:
                 break  # terminal: device egress or counting sink
-            if not link.carry_parsed:
-                return None
             far = link._far(port)
             if far is None or far.datapath is None:
                 return None

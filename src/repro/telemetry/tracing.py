@@ -266,7 +266,7 @@ class Tracer:
         dispatched = sum(group[4] for group in state.fused.values())
         pending_frames = sum(acc[1] for acc in state.pending.values())
         children.append(self._window_child(
-            root, "dispatch" if state.dispatch_engaged else "lookup",
+            root, "dispatch" if state.fusion is not None else "lookup",
             matched=dispatched + pending_frames, dispatched=dispatched))
         for group in state.fused.values():
             program, frames = group[0], group[1]

@@ -1,33 +1,32 @@
-"""Differential harness: the five chain-traversal modes are identical.
+"""Differential harness: every traversal path matches the reference switch.
 
 Hypothesis generates flow tables (random per-hop action shapes, VLAN
 matching, low-priority CIDR fallbacks) and frame batches, then runs the
-same workload through five independently-built copies of the same LSI
+same workload through independently-built copies of the same LSI
 chain (lengths 1, 2 and 4):
 
-1. **per-frame** — :meth:`Datapath.process` for every frame, the
-   reference semantics;
-2. **reparse batch** — the batched pipeline with ``carry_parsed=False``
-   on every virtual link, i.e. the old re-parse-at-every-hop cost
-   model;
-3. **per-hop zero-reparse batch** — ``ParsedFrame`` carry across the
-   links with chain fusion pinned off: the fusion fallback path, and
-   the fused path's differential oracle;
-4. **fused** — chain fusion on with per-port dispatch pinned off:
-   stable chains compiled into straight-line programs
-   (:mod:`repro.switch.fusion`) behind the normal ingress lookup,
-   with all per-hop counters settled arithmetically at flush;
-5. **dispatch-fused** — the production configuration: fusion *and*
-   the per-port dispatch layer, so eligible ``(in_port, vlan)``
-   slices skip the ingress ``FlowTable`` walk entirely.
+* **reference** — a chain of
+  :class:`~tests.reference_switch.ReferenceDatapath`: per frame, linear
+  table scan with string CIDR matching, interpreted actions.  This is
+  the semantics every other path must reproduce;
+* **per-frame** — production :meth:`Datapath.process` for every frame
+  (indexed lookup, compiled actions);
+* **per-hop batch** — the batched pipeline with a no-op tap on every
+  hop.  A tap is the production reason fusion stands down, so every
+  hop runs its own lookup and compiled actions over ``ParsedFrame``
+  carry; each test asserts the twin fused nothing;
+* **production batch** — plain :meth:`Datapath.process_batch_from`:
+  chain fusion plus per-port dispatch, so eligible ``(in_port, vlan)``
+  slices skip the ingress ``FlowTable`` walk and stable chains settle
+  as straight-line programs (:mod:`repro.switch.fusion`).
 
-Every observable must agree across all five: egress frames
-byte-for-byte at every capture point, per-port rx/tx packet and byte
-counters, per-entry flow counters, table lookup/match totals, miss /
-drop / action-error counts, and controller punts.
+Every observable must agree: egress frames byte-for-byte at every
+capture point, per-port rx/tx packet and byte counters, per-entry flow
+counters, table lookup/match totals, miss / drop / action-error
+counts, and controller punts.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.linuxnet import VethPair
 from repro.net import MacAddress, make_udp_frame
@@ -44,6 +43,7 @@ from repro.switch import (
     VirtualLink,
 )
 from repro.switch.flowtable import ANY_VLAN, NO_VLAN
+from tests.reference_switch import ReferenceDatapath
 
 MAC_A = MacAddress("02:00:00:00:00:01")
 MAC_B = MacAddress("02:00:00:00:00:02")
@@ -110,11 +110,20 @@ def _capture(datapath, name):
     return port, received
 
 
-class ChainInstance:
-    """One independent build of the generated chain scenario."""
+def _no_tap(in_port, frame):
+    """Observes nothing; attaching it pins a hop to the per-hop path."""
 
-    def __init__(self, length, hop_specs):
-        self.hops = [Datapath(0x4000 + i, name=f"hop{i}")
+
+class ChainInstance:
+    """One independent build of the generated chain scenario.
+
+    ``datapath_cls`` picks production or reference hops; ``tapped``
+    attaches a no-op tap to every hop (the per-hop batch twin).
+    """
+
+    def __init__(self, length, hop_specs, datapath_cls=Datapath,
+                 tapped=False):
+        self.hops = [datapath_cls(0x4000 + i, name=f"hop{i}")
                      for i in range(length)]
         self.links = []
         self.captures = {}   # capture name -> list of egress bytes
@@ -155,6 +164,11 @@ class ChainInstance:
                     match=FlowMatch(in_port=in_ports[index],
                                     ip_dst=spec["cidr"]),
                     actions=(Output(cidr_port.port_no),), priority=10))
+            if tapped:
+                hop.taps.append(_no_tap)
+
+    def fused_hits(self):
+        return sum(hop.fusion.hits for hop in self.hops)
 
     def observe(self):
         state = {"captures": {name: list(rx)
@@ -183,65 +197,50 @@ def _frames(frame_specs):
             for spec in frame_specs]
 
 
+def _run_all_paths(length, specs, frame_specs):
+    """Run one workload through the reference chain and the three
+    production paths; returns ``(reference, [(name, instance)...])``."""
+    reference = ChainInstance(length, specs, datapath_cls=ReferenceDatapath)
+    reference.hops[0].process_batch_from(1, _frames(frame_specs))
+
+    per_frame = ChainInstance(length, specs)
+    for frame in _frames(frame_specs):
+        per_frame.hops[0].process(1, frame)
+
+    per_hop = ChainInstance(length, specs, tapped=True)
+    per_hop.hops[0].process_batch(
+        [(1, frame) for frame in _frames(frame_specs)])
+    assert per_hop.fused_hits() == 0
+
+    production = ChainInstance(length, specs)
+    production.hops[0].process_batch_from(1, _frames(frame_specs))
+    return reference, [("per-frame", per_frame), ("per-hop", per_hop),
+                       ("production", production)]
+
+
 @given(hop_specs=st.lists(hop_spec, min_size=max(CHAIN_LENGTHS),
                           max_size=max(CHAIN_LENGTHS)),
        frame_specs=st.lists(frame_spec, min_size=1, max_size=6))
+# A four-hop retag chain with CIDR fallbacks over mixed tagged and
+# untagged frames: every hop rewrites, every hop has a frame-dependent
+# runner-up.
+@example(hop_specs=[{"shape": "retag_out", "vid": 3, "match_vlan": "wild",
+                     "match_vid": 1, "cidr": "10.0.0.0/8"}] * 4,
+         frame_specs=[{"vlan": v, "sport": 1000 + i, "dst_net": 10 + i % 3,
+                       "payload": bytes([i])}
+                      for i, v in enumerate([None, 1, 2, None, 5])])
 @settings(max_examples=60, deadline=None)
-def test_five_traversal_modes_are_identical(hop_specs, frame_specs):
+def test_batch_paths_match_reference_switch(hop_specs, frame_specs):
     for length in CHAIN_LENGTHS:
-        specs = hop_specs[:length]
-
-        per_frame = ChainInstance(length, specs)
-        for frame in _frames(frame_specs):
-            per_frame.hops[0].process(1, frame)
-
-        reparse = ChainInstance(length, specs)
-        for link in reparse.links:
-            link.carry_parsed = False
-        reparse.hops[0].process_batch(
-            [(1, frame) for frame in _frames(frame_specs)])
-
-        zero_reparse = ChainInstance(length, specs)
-        for hop in zero_reparse.hops:
-            hop.fusion.enabled = False
-        zero_reparse.hops[0].process_batch_from(1, _frames(frame_specs))
-
-        fused = ChainInstance(length, specs)
-        for hop in fused.hops:
-            hop.fusion.dispatch_enabled = False
-        fused.hops[0].process_batch_from(1, _frames(frame_specs))
-
-        dispatch = ChainInstance(length, specs)
-        dispatch.hops[0].process_batch_from(1, _frames(frame_specs))
-
-        reference = per_frame.observe()
-        assert reparse.observe() == reference, f"chain length {length}"
-        assert zero_reparse.observe() == reference, f"chain length {length}"
-        assert fused.observe() == reference, f"chain length {length}"
-        assert dispatch.observe() == reference, f"chain length {length}"
+        reference, paths = _run_all_paths(length, hop_specs[:length],
+                                          frame_specs)
+        expected = reference.observe()
+        for name, instance in paths:
+            assert instance.observe() == expected, \
+                f"{name}, chain length {length}"
 
 
-def test_interpreted_batch_mode_matches_too():
-    """The differential holds with compiled actions disabled (the
-    interpreted batch leg the perf sweep's baseline uses)."""
-    specs = [{"shape": "retag_out", "vid": 3, "match_vlan": "wild",
-              "match_vid": 1, "cidr": "10.0.0.0/8"}] * 4
-    frame_specs = [{"vlan": v, "sport": 1000 + i, "dst_net": 10 + i % 3,
-                    "payload": bytes([i])}
-                   for i, v in enumerate([None, 1, 2, None, 5])]
-
-    compiled = ChainInstance(4, specs)
-    compiled.hops[0].process_batch_from(1, _frames(frame_specs))
-
-    interpreted = ChainInstance(4, specs)
-    for hop in interpreted.hops:
-        hop.compiled_actions = False
-    interpreted.hops[0].process_batch_from(1, _frames(frame_specs))
-
-    assert interpreted.observe() == compiled.observe()
-
-
-def _mid_batch_flow_mod_instance():
+def _mid_batch_flow_mod_instance(tapped=False):
     """A chain-2 whose packet-in handler retargets the downstream hop
     mid-batch: frame 2 (tagged) misses the untagged-only ingress entry,
     punts, and the punt handler flow-mods hop1's forwarding entry to a
@@ -250,7 +249,7 @@ def _mid_batch_flow_mod_instance():
               "match_vid": 1, "cidr": None},
              {"shape": "out", "vid": 1, "match_vlan": "wild",
               "match_vid": 1, "cidr": None}]
-    chain = ChainInstance(2, specs)
+    chain = ChainInstance(2, specs, tapped=tapped)
     hop1 = chain.hops[1]
     retarget_port, retarget_rx = _capture(hop1, "retarget")
     chain.captures["retarget"] = retarget_rx
@@ -271,7 +270,7 @@ def test_mid_batch_flow_mod_forces_fallback_and_matches_per_hop():
     """A flow-mod landing *mid-batch* (from a packet-in handler) must
     invalidate the fused chain at flush and fall back to the per-hop
     path — byte-for-byte and counter-for-counter identical to the
-    per-hop batch mode, with every frame reaching the *new* terminal.
+    tapped per-hop twin, with every frame reaching the *new* terminal.
 
     (Per-frame mode legitimately differs here: it would deliver frame
     1 to the old terminal before the flow-mod lands.  Batch semantics
@@ -287,11 +286,10 @@ def test_mid_batch_flow_mod_forces_fallback_and_matches_per_hop():
     fused = _mid_batch_flow_mod_instance()
     fused.hops[0].process_batch_from(1, _frames(frame_specs))
 
-    per_hop = _mid_batch_flow_mod_instance()
-    for hop in per_hop.hops:
-        hop.fusion.enabled = False
+    per_hop = _mid_batch_flow_mod_instance(tapped=True)
     per_hop.hops[0].process_batch_from(1, _frames(frame_specs))
 
+    assert per_hop.fused_hits() == 0
     assert fused.observe() == per_hop.observe()
     # Both untagged frames took the new terminal; none the old one.
     assert len(fused.captures["retarget"]) == 2
@@ -311,7 +309,7 @@ def test_select_output_fuses_per_replica_and_modes_agree():
     """A chain ending in a hash-LB hop fuses per-replica
     (:class:`~repro.switch.fusion.FusedSelectChain`): the per-flow —
     even stateful — replica pick runs *inside* the fused program, and
-    all five traversal modes stay identical."""
+    every path still matches the reference switch."""
     for terminal in ("select_out", "pin_select_out"):
         specs = [{"shape": "out", "vid": 1, "match_vlan": "wild",
                   "match_vid": 1, "cidr": None},
@@ -321,41 +319,55 @@ def test_select_output_fuses_per_replica_and_modes_agree():
                         "dst_net": 10 + i % 3, "payload": bytes([i])}
                        for i in range(8)]
 
-        per_frame = ChainInstance(2, specs)
-        for frame in _frames(frame_specs):
-            per_frame.hops[0].process(1, frame)
-
-        reparse = ChainInstance(2, specs)
-        for link in reparse.links:
-            link.carry_parsed = False
-        reparse.hops[0].process_batch(
-            [(1, frame) for frame in _frames(frame_specs)])
-
-        zero_reparse = ChainInstance(2, specs)
-        for hop in zero_reparse.hops:
-            hop.fusion.enabled = False
-        zero_reparse.hops[0].process_batch_from(1, _frames(frame_specs))
-
-        fused = ChainInstance(2, specs)
-        fused.hops[0].process_batch_from(1, _frames(frame_specs))
-
-        reference = per_frame.observe()
-        assert reparse.observe() == reference, terminal
-        assert zero_reparse.observe() == reference, terminal
-        assert fused.observe() == reference, terminal
+        reference, paths = _run_all_paths(2, specs, frame_specs)
+        expected = reference.observe()
+        for name, instance in paths:
+            assert instance.observe() == expected, (terminal, name)
         # The production instance really fused the LB chain: every
         # frame went through the per-replica fused program.
-        engine = fused.hops[0].fusion
+        engine = dict(paths)["production"].hops[0].fusion
         assert engine.hits == len(frame_specs), terminal
         assert engine.programs_built == 1, terminal
         assert engine.dispatch_hits > 0, terminal
         # The spread actually split the batch: both the forward port
         # (-> final capture) and the tee saw traffic.
-        assert reference["captures"]["final"], terminal
-        assert reference["captures"]["tee1"], terminal
+        assert expected["captures"]["final"], terminal
+        assert expected["captures"]["tee1"], terminal
 
 
-def _replica_change_instance():
+def test_fused_chain_behind_a_frame_dependent_ingress_slice():
+    """The fused-behind-lookup arm: an ingress table whose slice winner
+    depends on frame contents (a higher-priority CIDR rule) holds a
+    negative dispatch slot, so every frame runs the ingress lookup —
+    and the port rule's chain still fuses behind it."""
+    specs = [{"shape": "out", "vid": 1, "match_vlan": "wild",
+              "match_vid": 1, "cidr": None},
+             {"shape": "setdst_out", "vid": 1, "match_vlan": "wild",
+              "match_vid": 1, "cidr": None}]
+    frame_specs = [{"vlan": None, "sport": 1000 + i, "dst_net": 11,
+                    "payload": bytes([i])} for i in range(5)]
+    builds = []
+    for cls in (ReferenceDatapath, Datapath):
+        chain = ChainInstance(2, specs, datapath_cls=cls)
+        ingress = chain.hops[0]
+        # 12.0.0.0/8 outranks the port rule but no frame matches it.
+        ingress.install(FlowEntry(
+            match=FlowMatch(in_port=1, ip_dst="12.0.0.0/8"),
+            actions=(Output(ingress.port_by_name("cidr0").port_no),),
+            priority=200))
+        ingress.process_batch_from(1, _frames(frame_specs))
+        builds.append(chain)
+    reference, production = builds
+    engine = production.hops[0].fusion
+    assert engine.dispatch[1][None][1] is None  # negative slot
+    assert engine.hits == len(frame_specs)
+    assert engine.dispatch_hits == 0
+    assert engine.dispatch_misses == len(frame_specs)
+    assert production.observe() == reference.observe()
+    assert len(reference.observe()["captures"]["final"]) == len(frame_specs)
+
+
+def _replica_change_instance(tapped=False):
     """A chain-2 ending in a stateful spread whose replica set grows
     mid-batch: a tagged frame misses the untagged-only ingress entry,
     punts, and the punt handler reinstalls hop1's LB entry with a
@@ -364,7 +376,7 @@ def _replica_change_instance():
               "match_vid": 1, "cidr": None},
              {"shape": "pin_select_out", "vid": 1, "match_vlan": "wild",
               "match_vid": 1, "cidr": None}]
-    chain = ChainInstance(2, specs)
+    chain = ChainInstance(2, specs, tapped=tapped)
     hop1 = chain.hops[1]
     extra_port, extra_rx = _capture(hop1, "extra")
     chain.captures["extra"] = extra_rx
@@ -402,15 +414,14 @@ def test_mid_stream_replica_change_falls_back_then_refuses_with_pins():
                   "payload": b"new-%d" % i} for i in range(12)]
 
     fused = _replica_change_instance()
-    per_hop = _replica_change_instance()
-    for hop in per_hop.hops:
-        hop.fusion.enabled = False
+    per_hop = _replica_change_instance(tapped=True)
     for chain in (fused, per_hop):
         first = chain.hops[0]
         first.process_batch_from(1, _frames(flows))
         first.process_batch_from(1, _frames(batch2))
         first.process_batch_from(1, _frames(batch3 + new_flows))
 
+    assert per_hop.fused_hits() == 0
     assert fused.observe() == per_hop.observe()
     engine = fused.hops[0].fusion
     # Batch 1 fused; the mid-batch reinstall invalidated at flush and

@@ -88,10 +88,11 @@ def test_two_branch_vlan_chain_counters_match_per_hop_twin():
     fused_hops[0].process_batch_from(1, frames)
     perhop_hops, perhop_links, perhop_rx = _vlan_chain()
     for hop in perhop_hops:
-        hop.fusion.enabled = False
+        hop.taps.append(lambda in_port, frame: None)
     perhop_hops[0].process_batch_from(1, frames)
 
     assert fused_hops[0].fusion.hits == 20
+    assert perhop_hops[0].fusion.hits == 0
     assert fused_rx == perhop_rx
     assert _snapshot(fused_hops, fused_links) == \
         _snapshot(perhop_hops, perhop_links)
@@ -424,4 +425,4 @@ def test_steering_stats_and_metrics_surface_fusion():
     for lsi_stats in stats.values():
         assert set(lsi_stats) == {"hits", "misses", "dispatch-hits",
                                   "dispatch-misses", "invalidations",
-                                  "programs-built", "enabled"}
+                                  "programs-built"}

@@ -219,9 +219,8 @@ def frame_for(index):
 
 def test_mode_switch_around_small_table_threshold():
     """The table serves identical results as it crosses the threshold
-    in both directions, with the oracle cross-check on throughout."""
+    in both directions, every lookup compared with the linear scan."""
     table = FlowTable()
-    table.oracle = True
     entries = []
     for index in range(SMALL_TABLE_THRESHOLD + 2):
         entry = FlowEntry(
@@ -253,7 +252,6 @@ def test_forced_index_mode_matches_bypass_results():
     indexed = FlowTable(small_table_threshold=0)
     bypassed = FlowTable()
     for table in (indexed, bypassed):
-        table.oracle = True
         for index in range(6):
             table.add(FlowEntry(
                 match=FlowMatch(in_port=1, vlan_vid=100 + index),
@@ -263,6 +261,8 @@ def test_forced_index_mode_matches_bypass_results():
         parsed = parse_frame(frame_for(index))
         left = indexed.lookup(1, parsed, count=False)
         right = bypassed.lookup(1, parsed, count=False)
+        assert left is indexed.lookup_linear(1, parsed)
+        assert right is bypassed.lookup_linear(1, parsed)
         assert (left is None) == (right is None)
         if left is not None:
             assert left.match == right.match

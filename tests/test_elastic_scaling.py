@@ -23,6 +23,7 @@ from repro.switch import Datapath, FlowEntry, FlowMatch, Output, PushVlan, \
     SelectOutput, flow_hash
 from repro.telemetry import Autoscaler, ControlLoop, ScalingPolicy
 from repro.net.builder import parse_frame
+from tests.reference_switch import ReferenceDatapath
 
 SRC = MacAddress("02:ab:00:00:00:01")
 DST = MacAddress("02:ab:00:00:00:02")
@@ -172,18 +173,18 @@ def test_lb_chain_is_byte_for_byte_identical_to_single_replica():
 
 
 def test_select_output_compiled_matches_interpreted():
-    """Differential on the action layer itself: compiled vs interpreted
-    SelectOutput pick identical ports for identical frames."""
+    """Differential on the action layer itself: compiled (production
+    batch) vs interpreted (reference switch) SelectOutput pick
+    identical ports for identical frames."""
     for actions in ((SelectOutput((5, 6, 7)),),
                     (PushVlan(9), SelectOutput((5, 6))),):
         dp_compiled = Datapath(0x1, name="c")
-        dp_interp = Datapath(0x2, name="i")
+        dp_interp = ReferenceDatapath(0x2, name="i")
         for dp in (dp_compiled, dp_interp):
             for port_no, name in ((1, "in"), (5, "a"), (6, "b"), (7, "c")):
                 dp.add_port(name, port_no=port_no)
             dp.install(FlowEntry(match=FlowMatch(in_port=1),
                                  actions=actions))
-        dp_interp.compiled_actions = False
         workload = []
         for flow in range(40):
             workload.extend(flow_frames(flow, 2))

@@ -80,7 +80,6 @@ def test_indexed_lookup_identical_to_linear_scan(matches, frames, threshold):
     # threshold 0 forces the two-level index even on tiny tables;
     # 16 (the default) exercises the small-table bypass below it.
     table = FlowTable(small_table_threshold=threshold)
-    table.oracle = True  # lookup() itself raises on any divergence
     for match, priority in matches:
         # dataclass equality means duplicate (match, priority) pairs
         # exercise the replace path; duplicate priorities exercise ties.
@@ -107,7 +106,6 @@ def test_indexed_lookup_identical_to_linear_scan(matches, frames, threshold):
 def test_index_stays_consistent_across_deletes(matches, frames, drop,
                                                threshold):
     table = FlowTable(small_table_threshold=threshold)
-    table.oracle = True
     entries = []
     for match, priority in matches:
         entry = FlowEntry(match=match, actions=(Output(1),),

@@ -1,5 +1,7 @@
 """Codec round-trips plus controller<->agent integration."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,7 @@ from repro.switch import (
     Output,
     PopVlan,
     PushVlan,
+    SelectOutput,
     SetField,
 )
 
@@ -241,3 +244,79 @@ class TestControllerAgent:
         _dp, channel, _agent, controller = wired_pair()
         controller.handshake()
         assert channel.messages_exchanged >= 4  # hello x2, features req/rep
+
+
+def _mutations(message, count, seed):
+    """``count`` copies of ``message`` with 1-3 body bytes overwritten
+    (the header stays intact so every copy reaches the body decoder)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        data = bytearray(message)
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(8, len(data))] = rng.randrange(256)
+        yield bytes(data)
+
+
+def _mutation_seeds():
+    frame = make_udp_frame(MAC_A, MAC_B, "1.1.1.1", "2.2.2.2", 1, 2, b"x",
+                           vlan=5).to_bytes()
+    flow_mod = encode_flow_mod(
+        1, FlowModCommand.ADD,
+        FlowMatch(in_port=3, eth_src=MAC_A, vlan_vid=42,
+                  ip_dst="10.0.0.0/8", tp_dst=80),
+        (PopVlan(), PushVlan(7, 3), SetField("eth_dst", "02:00:00:00:00:09"),
+         SelectOutput((4, 9), group="g"), Output(2)),
+        priority=5, cookie=9)
+    packet_out = encode_packet_out(
+        3, 1, (PushVlan(9), Output(2), SelectOutput((2, 3))), frame)
+    return {"flow-mod": flow_mod, "packet-out": packet_out}
+
+
+class TestMalformedWire:
+    """The decode boundary is total: garbled bytes are a CodecError,
+    and the agent answers them with an error reply, never a raise."""
+
+    @pytest.mark.parametrize("kind", ["flow-mod", "packet-out"])
+    def test_mutated_messages_raise_only_codec_error(self, kind):
+        seed = _mutation_seeds()[kind]
+        for index, data in enumerate(_mutations(seed, 3000, seed=17)):
+            try:
+                decode_message(data)
+            except CodecError:
+                pass
+            except Exception as exc:  # pragma: no cover - the bug
+                pytest.fail(f"mutation {index} of the {kind} escaped as "
+                            f"{type(exc).__name__}: {exc}")
+
+    @pytest.mark.parametrize("kind", ["flow-mod", "packet-out"])
+    def test_agent_answers_mutated_messages_with_error_replies(self, kind):
+        dp = Datapath(0x42, name="lsi-fuzz")
+        for name in ("a", "b", "c"):
+            dp.add_port(name)
+        channel = ControlChannel()
+        agent = SwitchAgent(dp, channel)
+        replies = []
+        channel.controller_end.on_receive(replies.append)
+        seed = _mutation_seeds()[kind]
+        for data in _mutations(seed, 1000, seed=23):
+            agent._on_bytes(data)
+        assert agent.errors_sent > 0
+        errors = [decode_message(reply) for reply in replies]
+        assert sum(m.msg_type is OfpType.ERROR for m in errors) \
+            == agent.errors_sent
+
+    def test_packet_out_with_a_short_frame_gets_an_error_reply(self):
+        dp = Datapath(0x42, name="lsi-short")
+        dp.add_port("a")
+        channel = ControlChannel()
+        agent = SwitchAgent(dp, channel)
+        replies = []
+        channel.controller_end.on_receive(replies.append)
+        data = encode_packet_out(5, 0, (Output(1),), b"\x01\x02\x03")
+        with pytest.raises(CodecError, match="frame too short"):
+            decode_message(data)
+        agent._on_bytes(data)
+        assert agent.errors_sent == 1
+        (reply,) = replies
+        assert decode_message(reply).msg_type is OfpType.ERROR
+        assert dp.ports[1].tx_packets == 0

@@ -40,11 +40,13 @@ def test_sweep_chain_delivers_everything():
     assert [p.chain_length for p in points] == [1, 3]
     for point in points:
         assert point.single_pps > 0 and point.batched_pps > 0
-        assert point.fused_pps > 0
-    # The multi-hop point must have gone through fused programs; the
-    # single-hop point must not (fast_out is already optimal there).
+        assert point.dispatch_pps > 0
+    # The multi-hop production leg must have gone through fused
+    # programs and dispatch slots; the single-hop point must not fuse
+    # (fast_out is already optimal there).
     assert points[0].fused_hits == 0
     assert points[1].fused_hits > 0
+    assert points[1].dispatch_hits > 0
 
 
 def test_fast_path_parse_cidr_free():
@@ -55,7 +57,8 @@ def test_fast_path_parse_cidr_free():
 
 def test_chain_never_reparses_untouched_frames():
     """Structural zero-reparse: one parse_frame per frame per chain on
-    the per-hop path, and *at most* one on the fused path — dispatch-hit
+    the per-hop path (tapped hops), and *at most* one on the production
+    path — dispatch-hit
     frames are parked raw, so a plain fused chain delivers all 25 frames
     with zero parses (excess == -packets)."""
     for length in (1, 2, 4):

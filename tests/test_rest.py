@@ -86,6 +86,25 @@ class TestRestApp:
         response = client.app.handle("PUT", "/nffg/g1", b"")
         assert response.status == 400
 
+    @pytest.mark.parametrize("document", [
+        {"forwarding-graph": {"id": "g1", "VNFs": 5}},
+        {"forwarding-graph": 5},
+        {"forwarding-graph": {"id": "g1", "end-points": "lan0"}},
+        {"forwarding-graph": {"id": "g1", "VNFs": [5]}},
+        {"forwarding-graph": {"id": "g1",
+                              "big-switch": {"flow-rules": [
+                                  {"id": "r1", "match": "lan",
+                                   "action": {"output": "endpoint:lan"}}]}}},
+        [1, 2],
+    ])
+    def test_400_for_malformed_nffg_shapes(self, client, document):
+        """A wrong container type anywhere in the NF-FG is a 400 naming
+        the expected type, never an exception out of ``handle``."""
+        response = client.app.handle("PUT", "/nffg/g1",
+                                     json.dumps(document).encode())
+        assert response.status == 400
+        assert "must be an" in response.body["error"]
+
     def test_400_for_id_mismatch(self, client):
         response = client.put("/nffg/other", nffg_to_dict(nat_graph()))
         assert response.status == 400

@@ -160,14 +160,17 @@ def test_any_vlan_entry_reached_from_port_bucket():
     assert table.lookup(1, parsed()) is None
 
 
-def test_oracle_mode_passes_on_consistent_table():
+def test_lookup_matches_linear_scan_on_consistent_table():
     table = FlowTable()
-    table.oracle = True
-    table.add(FlowEntry(match=FlowMatch(in_port=1), actions=(Output(1),)))
-    table.add(FlowEntry(match=FlowMatch(), actions=(Output(2),),
-                        priority=10))
-    assert table.lookup(1, parsed()) is not None
-    assert table.lookup(9, parsed()) is not None  # wildcard fallback
+    port_rule = FlowEntry(match=FlowMatch(in_port=1), actions=(Output(1),))
+    wildcard = FlowEntry(match=FlowMatch(), actions=(Output(2),),
+                         priority=10)
+    table.add(port_rule)
+    table.add(wildcard)
+    for in_port, expected in ((1, port_rule), (9, wildcard)):
+        frame = parsed()
+        assert table.lookup(in_port, frame) is expected
+        assert table.lookup_linear(in_port, frame) is expected
 
 
 def test_count_false_defers_counters_until_credit():

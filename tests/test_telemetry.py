@@ -307,8 +307,7 @@ def test_prometheus_export_and_rest_metrics():
     assert document["nfs"]["dpi"]["pps"] > 0
     assert set(document["fusion"]) == {"hits", "misses", "dispatch-hits",
                                        "dispatch-misses", "invalidations",
-                                       "programs-built", "enabled",
-                                       "at-node-ingress"}
+                                       "programs-built", "at-node-ingress"}
     # Per-graph fusion counters are no longer silently zero when the
     # chain fuses at node ingress: LSI-0's per-cookie share is folded
     # into the graph document.
