@@ -12,9 +12,9 @@ Subcommands::
     repro node
         Print the node description a fresh CPE answers on GET /.
 
-    repro serve [--port P] [--interval S] [--shards N] [--no-loop]
+    repro serve [--port P] [--interval S] [--no-loop]
         Start a CPE node, expose its REST API on localhost, and run
-        the sharded control loop (reconcile ticks + telemetry +
+        the control loop on one thread (reconcile ticks + telemetry +
         autoscaling of persisted scaling policies).
 
     repro validate GRAPH.json
@@ -88,9 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--interval", type=float, default=1.0,
                        help="control-loop period in seconds "
                             "(tick + sample + autoscale)")
-    serve.add_argument("--shards", type=int, default=2,
-                       help="reconcile-loop worker shards "
-                            "(graphs hash to a shard; 1 disables)")
     serve.add_argument("--no-loop", action="store_true",
                        help="serve REST only, without the control loop")
 
@@ -195,12 +192,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         autoscaler = Autoscaler(reconciler=node.orchestrator.reconciler,
                                 registry=node.telemetry)
         loop = ControlLoop(node.orchestrator, node.telemetry,
-                           autoscaler=autoscaler, interval=args.interval,
-                           shards=max(1, args.shards)).start()
+                           autoscaler=autoscaler,
+                           interval=args.interval).start()
     server = serve_node(node, port=args.port)
     loop_note = ("no control loop" if loop is None else
-                 f"control loop every {args.interval:g}s, "
-                 f"{max(1, args.shards)} shard(s)")
+                 f"control loop every {args.interval:g}s")
     print(f"serving node {node.name!r} on {server.url} "
           f"({loop_note}; Ctrl-C to stop)")
     try:

@@ -89,8 +89,8 @@ class ComputeNode:
         # Tracing + flight recorder: the sampler keeps the dataplane
         # cost at one counter compare per unsampled batch, so it is on
         # by default on a full node.  The journal is resolved through a
-        # callable because the control loop may swap it (sharding) or
-        # rebind its clock (sim mode) later.
+        # callable because it may be replaced, or its clock rebound
+        # (sim mode), later.
         from repro.telemetry.tracing import Tracer
         self.tracer = Tracer(
             journal=lambda: self.orchestrator.reconciler.journal)

@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -61,33 +60,19 @@ from repro.resources.images import ImageRegistry
 
 __all__ = ["DeployedGraph", "EventJournal", "GraphEvent", "GraphLockRegistry",
            "Plan", "PlanStep", "ReconcileError", "ReconcileResult",
-           "Reconciler", "ShardedEventJournal", "shard_of_graph"]
+           "Reconciler"]
 
 
 class ReconcileError(Exception):
     """The engine could not make progress towards the desired state."""
 
 
-def shard_of_graph(graph_id: str, shards: int) -> int:
-    """Stable graph_id -> shard mapping shared by the control loop and
-    the sharded journal.
-
-    CRC32, not :func:`hash`: the built-in string hash is randomized per
-    process (``PYTHONHASHSEED``), and a shard assignment that moved
-    between runs would make sharded sim traces non-reproducible and
-    per-shard journal exports impossible to correlate across restarts.
-    """
-    if shards <= 1:
-        return 0
-    return zlib.crc32(graph_id.encode()) % shards
-
-
 class GraphLockRegistry:
     """Per-graph reentrant locks, created on demand.
 
     The control plane's concurrency unit is the graph: REST handler
-    threads (deploy/update/undeploy/reconcile), the control loop's tick
-    workers and the fleet layer all serialize *per graph_id* — two
+    threads (deploy/update/undeploy/reconcile), the control-loop thread
+    and the fleet layer all serialize *per graph_id* — two
     callers touching different graphs never contend, two touching the
     same graph never interleave.  Locks are reentrant because the call
     graph nests (``deploy`` -> ``reconcile`` -> ``tick`` all take the
@@ -159,19 +144,17 @@ class EventJournal:
     sim-mode control loop, which is what makes journal-derived
     availability metrics (MTTR) deterministic under test.
 
-    Appends are thread-safe: REST handler threads, control-loop shard
-    workers and the fleet layer all journal concurrently, and the
+    Appends are thread-safe: REST handler threads, the control-loop
+    thread and the fleet layer all journal concurrently, and the
     ring-full check (``len(log) == max_events``) racing the append used
     to undercount drops.  One mutex per journal covers the
     check-then-append and the dropped-counter increment as a unit; the
     read side snapshots under the same mutex so an export never sees a
-    half-applied eviction.  ``seq`` may be a shared counter so several
-    shard journals allocate from one sequence.
+    half-applied eviction.
     """
 
     def __init__(self, max_events: int = 1000,
-                 clock: Optional[Callable[[], float]] = None,
-                 seq: "Optional[itertools.count]" = None) -> None:
+                 clock: Optional[Callable[[], float]] = None) -> None:
         if max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {max_events}")
         self.max_events = max_events
@@ -179,7 +162,7 @@ class EventJournal:
                                            else time.monotonic)
         self._events: dict[str, deque[GraphEvent]] = {}
         self._dropped: dict[str, int] = {}
-        self._seq = seq if seq is not None else itertools.count(1)
+        self._seq = itertools.count(1)
         self._lock = threading.Lock()
         #: Optional ``callback(graph_id, event)`` fired *after* an
         #: append that evicted the ring's oldest event (the flight
@@ -230,126 +213,6 @@ class EventJournal:
         with self._lock:
             self._events.pop(graph_id, None)
             self._dropped.pop(graph_id, None)
-
-
-class ShardedEventJournal:
-    """N per-shard :class:`EventJournal` rings behind one interface.
-
-    Scaling the reconcile loop out puts every shard worker on the
-    journal at once; even a thread-safe single ring then serializes all
-    workers on one mutex.  This variant routes each graph to the shard
-    :func:`shard_of_graph` names — the *same* mapping the sharded
-    control loop uses for tick workers, so within a shard the journal
-    is effectively single-writer again and cross-shard appends never
-    contend.  Sequence numbers come from one shared counter, so merged
-    exports still interleave in global append order.
-
-    The public surface mirrors :class:`EventJournal` exactly (append /
-    events / dropped_count / last_kind / graphs / forget /
-    ``max_events`` / ``clock``) — the reconciler, REST export, CLI and
-    telemetry layers cannot tell the difference.  Reads route to the
-    owning shard; :meth:`graphs` and :meth:`merged_events` merge across
-    shards for fleet-wide export.
-    """
-
-    def __init__(self, shards: int = 2, max_events: int = 1000,
-                 clock: Optional[Callable[[], float]] = None) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.max_events = max_events
-        self._clock: Callable[[], float] = (clock if clock is not None
-                                            else time.monotonic)
-        seq = itertools.count(1)
-        self.shards: list[EventJournal] = [
-            EventJournal(max_events=max_events, clock=self._clock, seq=seq)
-            for _ in range(shards)]
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
-    @property
-    def clock(self) -> Callable[[], float]:
-        return self._clock
-
-    @clock.setter
-    def clock(self, clock: Callable[[], float]) -> None:
-        # Rebinding (sim mode) must reach every shard ring, or merged
-        # exports would mix virtual and wall timestamps.
-        self._clock = clock
-        for shard in self.shards:
-            shard.clock = clock
-
-    @property
-    def on_drop(self) -> Optional[Callable[[str, GraphEvent], None]]:
-        return self.shards[0].on_drop
-
-    @on_drop.setter
-    def on_drop(self,
-                callback: Optional[Callable[[str, GraphEvent], None]]) \
-            -> None:
-        # Like the clock: a drop on any shard ring is a drop.
-        for shard in self.shards:
-            shard.on_drop = callback
-
-    def shard_for(self, graph_id: str) -> EventJournal:
-        return self.shards[shard_of_graph(graph_id, len(self.shards))]
-
-    def adopt(self, journal: EventJournal) -> None:
-        """Migrate an existing single-ring journal's history in.
-
-        Used when a sharded control loop takes over a node that already
-        journaled deploys through the default ring — post-mortems must
-        not lose the pre-sharding prefix.  Events keep their original
-        seq/time stamps; drop counters carry over.
-        """
-        with journal._lock:
-            entries = {graph_id: list(log)
-                       for graph_id, log in journal._events.items()}
-            dropped = dict(journal._dropped)
-        for graph_id, events in entries.items():
-            shard = self.shard_for(graph_id)
-            with shard._lock:
-                log = shard._events.setdefault(
-                    graph_id, deque(maxlen=shard.max_events))
-                log.extend(events)
-                if dropped.get(graph_id):
-                    shard._dropped[graph_id] = \
-                        shard._dropped.get(graph_id, 0) + dropped[graph_id]
-
-    # -- EventJournal surface (routed) --------------------------------------------
-    def append(self, graph_id: str, kind: str, nf_id: str = "",
-               rule_id: str = "", detail: str = "") -> GraphEvent:
-        return self.shard_for(graph_id).append(graph_id, kind, nf_id=nf_id,
-                                               rule_id=rule_id, detail=detail)
-
-    def events(self, graph_id: str) -> list[GraphEvent]:
-        return self.shard_for(graph_id).events(graph_id)
-
-    def dropped_count(self, graph_id: str) -> int:
-        return self.shard_for(graph_id).dropped_count(graph_id)
-
-    def last_kind(self, graph_id: str) -> str:
-        return self.shard_for(graph_id).last_kind(graph_id)
-
-    def graphs(self) -> list[str]:
-        merged: set[str] = set()
-        for shard in self.shards:
-            merged.update(shard.graphs())
-        return sorted(merged)
-
-    def forget(self, graph_id: str) -> None:
-        self.shard_for(graph_id).forget(graph_id)
-
-    # -- merged export -------------------------------------------------------------
-    def merged_events(self) -> list[GraphEvent]:
-        """Every shard's events in one list, global append (seq) order."""
-        merged: list[GraphEvent] = []
-        for shard in self.shards:
-            for graph_id in shard.graphs():
-                merged.extend(shard.events(graph_id))
-        merged.sort(key=lambda event: event.seq)
-        return merged
 
 
 # -- plans -----------------------------------------------------------------------
@@ -499,8 +362,8 @@ class Reconciler:
         self.accountant = accountant
         self.images = images
         self.journal = journal if journal is not None else EventJournal()
-        #: per-graph reentrant locks — REST handler threads, control-loop
-        #: shard workers and the fleet layer all serialize through these
+        #: per-graph reentrant locks — REST handler threads, the
+        #: control-loop thread and the fleet layer all serialize through these
         #: (see :meth:`lock`); no global lock on the *read/plan* path.
         self.locks = GraphLockRegistry()
         #: node-wide mutex for plan *execution* only: structural steps
@@ -888,8 +751,8 @@ class Reconciler:
     def tick(self, graph_id: str) -> Plan:
         """One detect-plan-execute pass; returns the (annotated) plan.
 
-        Serialized per graph: a REST deploy, the control loop's shard
-        worker and a manual ``repro graph reconcile`` can all tick the
+        Serialized per graph: a REST deploy, the control-loop thread
+        and a manual ``repro graph reconcile`` can all tick the
         same graph_id, and interleaved plan executions would double-run
         steps compiled against a state another thread already changed.
         """
@@ -920,11 +783,12 @@ class Reconciler:
             # Executing steps touches *node-shared* layers — the
             # resource accountant, LSI-0's port table, the steering
             # registries, the drivers — which per-graph locks do not
-            # cover when two shard workers execute structural steps for
-            # different graphs at once.  One node-wide mutex around
-            # execution closes that; the common steady-state tick (all
-            # converged, empty plan) never takes it, so a sharded fleet
-            # still probes and plans in parallel.
+            # cover when a REST handler thread and the control-loop
+            # thread execute structural steps for different graphs at
+            # once.  One node-wide mutex around execution closes that;
+            # the common steady-state tick (all converged, empty plan)
+            # never takes it, so REST handlers probe and plan beside the
+            # loop.
             with self.execution_lock:
                 self._execute_steps(graph_id, record, plan,
                                     plan_seq=plan_event.seq)

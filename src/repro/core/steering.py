@@ -146,10 +146,6 @@ class TrafficSteeringManager:
         #: ingress and per-graph) by :meth:`set_tracer`; graph LSIs
         #: created later inherit it in :meth:`create_graph_network`.
         self.tracer = None
-        # Per-cookie fusion attribution on the node-ingress LSI: when
-        # whole chains fuse at LSI-0, the owning graph's share of the
-        # fused/dispatch counters is recovered from the flow cookie.
-        self.base.datapath.fusion.track_cookies = True
 
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to LSI-0 and every existing graph LSI."""
@@ -190,7 +186,6 @@ class TrafficSteeringManager:
             raise SteeringError(f"graph {graph_id!r} already has an LSI")
         lsi = LogicalSwitchInstance(f"LSI-{graph_id}", graph_id=graph_id)
         lsi.datapath.tracer = self.tracer
-        lsi.datapath.fusion.track_cookies = True
         controller = self._wire_controller(lsi, f"ctrl-{graph_id}")
         link = VirtualLink.connect(self.base.datapath, lsi.datapath,
                                    name=f"vl-{graph_id}")

@@ -148,9 +148,15 @@ def nffg_from_dict(document: dict[str, Any]) -> Nffg:
             **kwargs)
         action = _typed(_require(entry, "action", "flow-rule"), dict,
                         "a flow-rule action")
+        priority = entry.get("priority", 100)
+        try:
+            priority = int(priority)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("NF-FG JSON: a flow-rule priority must be an "
+                             f"integer, got {priority!r}") from None
         graph.flow_rules.append(FlowRule(
             rule_id=str(_require(entry, "id", "flow-rule")),
-            priority=int(entry.get("priority", 100)),
+            priority=priority,
             match=match,
             output=PortRef.parse(str(_require(action, "output",
                                               "flow-rule action")))))

@@ -9,7 +9,7 @@ __all__ = ["Endpoint", "FlowRule", "MAX_REPLICAS", "NfInstanceSpec",
            "Nffg", "PortRef", "ScalingPolicy"]
 
 #: Per-NF replica ceiling: a hash spread wider than this on one node
-#: says "shard the graph", not "add another replica".  (Re-exported by
+#: says "split the graph", not "add another replica".  (Re-exported by
 #: :mod:`repro.nffg.validate` for historical imports.)
 MAX_REPLICAS = 64
 

@@ -1,4 +1,4 @@
-"""Control-plane churn bench: 1k graphs through the sharded loop.
+"""Control-plane churn bench: 1k graphs through the control loop.
 
 The dataplane sweeps answer "how fast is a packet"; this bench answers
 "how fast is the *node*" — the fleet-scale control-plane figures the
@@ -7,7 +7,7 @@ just throughput):
 
 * **Mass deploy.**  N one-NF graphs land in the reconciler's desired
   state declaratively (``set_desired``, no inline reconcile — exactly
-  what a REST burst does), then the sharded
+  what a REST burst does), then the
   :class:`~repro.telemetry.loop.ControlLoop` converges the whole fleet.
   Recorded: productive ticks to convergence and per-tick wall latency.
 
@@ -23,7 +23,7 @@ just throughput):
   exactly.
 
 Convergence counts and journal totals are deterministic (the loop runs
-in direct-step mode, round-robin over shard partitions), so those
+in direct-step mode, in sorted ``graph_id`` order), so those
 gates are exact; only the latency ceilings are wall-clock and they are
 set generously above the measured figures to stay flake-free in CI.
 
@@ -94,11 +94,10 @@ def _fleet_graph(index: int, policy_every: int):
     return graph
 
 
-def run_controlplane_bench(quick: bool = False, shards: int = 4,
+def run_controlplane_bench(quick: bool = False,
                            policy_every: int = 10) -> dict:
     """Run the mass-deploy + churn scenario; returns the results dict."""
     from repro.core import ComputeNode
-    from repro.core.reconciler import ShardedEventJournal, shard_of_graph
     from repro.nffg.model import NfInstanceSpec
     from repro.telemetry import Autoscaler, ControlLoop
 
@@ -113,7 +112,7 @@ def run_controlplane_bench(quick: bool = False, shards: int = 4,
     reconciler = node.orchestrator.reconciler
     autoscaler = Autoscaler(reconciler=reconciler, registry=node.telemetry)
     loop = ControlLoop(node.orchestrator, node.telemetry,
-                       autoscaler=autoscaler, interval=1.0, shards=shards)
+                       autoscaler=autoscaler, interval=1.0)
 
     graphs = [_fleet_graph(i, policy_every) for i in range(graph_count)]
     tick_seconds: list[float] = []
@@ -122,7 +121,7 @@ def run_controlplane_bench(quick: bool = False, shards: int = 4,
         """Step the loop until a tick executes nothing.
 
         Returns (productive ticks, converged) — deterministic, because
-        direct ``step()`` calls tick the shard partitions round-robin.
+        direct ``step()`` calls tick the graphs in sorted order.
         """
         productive = 0
         for _ in range(max_steps):
@@ -180,16 +179,23 @@ def run_controlplane_bench(quick: bool = False, shards: int = 4,
     journal = reconciler.journal
     dropped_total = sum(journal.dropped_count(graph.graph_id)
                         for graph in graphs)
-    per_shard = [0] * shards
+    # Journal integrity: every event's seq is unique fleet-wide and each
+    # graph's log is in strictly increasing seq order.
+    seqs_seen: set[int] = set()
+    events_total = 0
+    unordered_graphs = 0
     for graph in graphs:
-        per_shard[shard_of_graph(graph.graph_id, shards)] += 1
+        seqs = [event.seq for event in journal.events(graph.graph_id)]
+        events_total += len(seqs)
+        seqs_seen.update(seqs)
+        if any(a >= b for a, b in zip(seqs, seqs[1:])):
+            unordered_graphs += 1
     statuses = [node.orchestrator.status(graph.graph_id)
                 for graph in graphs]
     mean_tick = (sum(tick_seconds) / len(tick_seconds)
                  if tick_seconds else 0.0)
     return {
         "graphs": graph_count,
-        "shards": shards,
         "deploy": {
             "set_desired_seconds": set_desired_seconds,
             "ticks_to_converge": deploy_ticks,
@@ -207,10 +213,11 @@ def run_controlplane_bench(quick: bool = False, shards: int = 4,
             "max_s": max(tick_seconds, default=0.0),
             "mean_per_graph_s": mean_tick / graph_count,
         },
-        "shard_graphs": per_shard,
         "journal": {
-            "sharded": isinstance(journal, ShardedEventJournal),
             "dropped_total": dropped_total,
+            "events_total": events_total,
+            "duplicate_seqs": events_total - len(seqs_seen),
+            "unordered_graphs": unordered_graphs,
             "graphs_journaled": len(journal.graphs()),
         },
         "statuses_converged": sum(1 for s in statuses if s["converged"]),
@@ -223,7 +230,7 @@ def run_controlplane_bench(quick: bool = False, shards: int = 4,
 def check_results(results: dict) -> None:
     """Assert the standing control-plane gates on a bench result dict.
 
-    The convergence, policy, journal and shard gates are exact (the
+    The convergence, policy and journal gates are exact (the
     loop is deterministic in direct-step mode); only the latency gates
     are wall-clock, and their ceilings sit an order of magnitude above
     the measured figures.  Applied identically in quick and full mode
@@ -263,16 +270,18 @@ def check_results(results: dict) -> None:
         f"loop absorbed {results['tick_errors']} tick error(s), last: "
         f"{results['loop_error']!r}")
     journal = results["journal"]
-    assert journal["sharded"], "the loop did not install a sharded journal"
     assert journal["dropped_total"] == 0, (
         f"{journal['dropped_total']} journal events dropped — rings "
         "sized too small for the churn volume")
     assert journal["graphs_journaled"] >= graphs, (
         f"journal knows {journal['graphs_journaled']} graphs, "
         f"expected >= {graphs}")
-    if graphs >= 4 * results["shards"]:
-        assert min(results["shard_graphs"]) > 0, (
-            f"shard balance broken: {results['shard_graphs']}")
+    assert journal["events_total"] > 0, "the fleet journaled no events"
+    assert journal["duplicate_seqs"] == 0 and \
+        journal["unordered_graphs"] == 0, (
+        f"journal integrity broken: {journal['duplicate_seqs']} duplicate "
+        f"seq(s), {journal['unordered_graphs']} graph(s) whose seqs are "
+        "not strictly increasing")
     latency = results["tick_latency"]
     assert latency["mean_per_graph_s"] <= TICK_LATENCY_CEILING_S, (
         f"mean fleet tick costs {latency['mean_per_graph_s'] * 1e3:.2f} "

@@ -574,9 +574,9 @@ class Datapath:
             hits = 0
             dispatched = 0
             table = self.table
-            # Per-graph attribution (opt-in: steering-managed LSIs
-            # only): cookie -> [matched, hits, dispatched] this batch.
-            shares = {} if fusion.track_cookies else None
+            # Per-graph attribution: cookie -> [matched, hits,
+            # dispatched] this batch.
+            shares = {}
             for group in state.fused.values():
                 program, frames, nbytes, in_port, disp_n, disp_bytes = \
                     group
@@ -609,15 +609,14 @@ class Datapath:
                         del slots[:]
                     self._fused_fallback(entry, frames, in_port, state)
                     group_hits = 0
-                if shares is not None:
-                    cookie = program.ingress_entry.cookie
-                    if cookie:
-                        row = shares.get(cookie)
-                        if row is None:
-                            row = shares[cookie] = [0, 0, 0]
-                        row[0] += disp_n
-                        row[1] += group_hits
-                        row[2] += disp_n
+                cookie = program.ingress_entry.cookie
+                if cookie:
+                    row = shares.get(cookie)
+                    if row is None:
+                        row = shares[cookie] = [0, 0, 0]
+                    row[0] += disp_n
+                    row[1] += group_hits
+                    row[2] += disp_n
             matched = dispatched
             for acc in state.pending.values():
                 matched += acc[1]
@@ -625,26 +624,25 @@ class Datapath:
             fusion.misses += matched - hits
             fusion.dispatch_hits += dispatched
             fusion.dispatch_misses += matched - dispatched
-            if shares is not None:
-                # Lookup-path frames count toward their entry's cookie;
-                # settle each graph's share with the same matched-minus
-                # arithmetic as the aggregates above.
-                for acc in state.pending.values():
-                    cookie = acc[0].cookie
-                    if cookie:
-                        row = shares.get(cookie)
-                        if row is None:
-                            row = shares[cookie] = [0, 0, 0]
-                        row[0] += acc[1]
-                cookie_stats = fusion.cookie_stats
-                for cookie, (c_matched, c_hits, c_disp) in shares.items():
-                    totals = cookie_stats.get(cookie)
-                    if totals is None:
-                        totals = cookie_stats[cookie] = [0, 0, 0, 0]
-                    totals[0] += c_hits
-                    totals[1] += c_matched - c_hits
-                    totals[2] += c_disp
-                    totals[3] += c_matched - c_disp
+            # Lookup-path frames count toward their entry's cookie;
+            # settle each graph's share with the same matched-minus
+            # arithmetic as the aggregates above.
+            for acc in state.pending.values():
+                cookie = acc[0].cookie
+                if cookie:
+                    row = shares.get(cookie)
+                    if row is None:
+                        row = shares[cookie] = [0, 0, 0]
+                    row[0] += acc[1]
+            cookie_stats = fusion.cookie_stats
+            for cookie, (c_matched, c_hits, c_disp) in shares.items():
+                totals = cookie_stats.get(cookie)
+                if totals is None:
+                    totals = cookie_stats[cookie] = [0, 0, 0, 0]
+                totals[0] += c_hits
+                totals[1] += c_matched - c_hits
+                totals[2] += c_disp
+                totals[3] += c_matched - c_disp
         self._flush_batch(state.pending, state.queues)
         if state.trace is not None:
             self.tracer.finish_batch(state.trace, self, state)

@@ -533,7 +533,7 @@ class FusionEngine:
 
     __slots__ = ("dp", "epoch", "dispatch", "hits", "misses",
                  "dispatch_hits", "dispatch_misses", "invalidations",
-                 "programs_built", "track_cookies", "cookie_stats")
+                 "programs_built", "cookie_stats")
 
     def __init__(self, dp) -> None:
         self.dp = dp
@@ -561,13 +561,12 @@ class FusionEngine:
         #: reactive (flush-time validity failure → per-hop fallback).
         self.invalidations = 0
         self.programs_built = 0
-        #: Opt-in per-cookie attribution (steering-managed LSIs turn it
-        #: on): ``cookie -> [hits, misses, dispatch_hits,
-        #: dispatch_misses]``.  Chains that fuse at node-ingress LSI-0
-        #: never touch their graph LSI's engine, so this is how a
-        #: graph's share of LSI-0 traffic is recovered — every flow
-        #: entry of graph ``g`` carries ``g``'s cookie.
-        self.track_cookies = False
+        #: Per-cookie attribution: ``cookie -> [hits, misses,
+        #: dispatch_hits, dispatch_misses]`` (cookie-0 entries are not
+        #: counted).  Chains that fuse at node-ingress LSI-0 never touch
+        #: their graph LSI's engine, so this is how a graph's share of
+        #: LSI-0 traffic is recovered — every flow entry of graph ``g``
+        #: carries ``g``'s cookie.
         self.cookie_stats: dict = {}
 
     def stats(self) -> dict:
@@ -579,7 +578,7 @@ class FusionEngine:
 
     def stats_for_cookie(self, cookie: int) -> dict:
         """One graph's share of this engine's fused/dispatch traffic
-        (zeroes when :attr:`track_cookies` is off or nothing arrived)."""
+        (zeroes when nothing arrived)."""
         totals = self.cookie_stats.get(cookie)
         if totals is None:
             return {"hits": 0, "misses": 0,

@@ -122,7 +122,7 @@ class Autoscaler:
                 self._policy_sources().items()):
             # The check (read replicas, decide) and the act
             # (set_desired) must be one atomic step against REST
-            # updates and other shards' ticks on the same graph.
+            # updates and concurrent ticks on the same graph.
             with self.reconciler.lock(graph_id):
                 decision = self._evaluate_one(graph_id, nf_id, policy, t)
             if decision is not None:

@@ -21,28 +21,21 @@ Two drivers of the same ``step``:
 * :meth:`start` runs the identical ``step`` on a daemon thread against
   the monotonic wall clock for `repro serve`-style deployments.
 
-Sharding.  ``shards=N`` partitions the fleet by
-:func:`~repro.core.reconciler.shard_of_graph` (stable CRC32 of the
-graph_id).  Each iteration ticks the N partitions concurrently on a
-worker pool in thread mode — per-graph locks make that safe, and the
-:class:`~repro.core.reconciler.ShardedEventJournal` installed at
-construction keeps shard workers off each other's journal mutex.  In
-sim mode (and in direct ``step()`` calls without :meth:`start`) the
-same partitions are ticked deterministically round-robin — shard 0's
-first graph, shard 1's first, ..., shard 0's second — so sharded sim
-traces stay bit-for-bit reproducible while still exercising the
-sharded journal paths.
+Both drivers tick every graph on one thread, in sorted ``graph_id``
+order, so sim traces and direct ``step()`` calls are deterministic.
+REST handler threads still run beside the loop thread; the reconciler's
+per-graph locks and its execution mutex keep the two apart.  There is
+no tick worker pool: reconcile work is CPU-bound Python, and under the
+GIL a pool measured slower than one thread.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from repro.core.orchestrator import LocalOrchestrator
-from repro.core.reconciler import ShardedEventJournal, shard_of_graph
 from repro.sim.engine import Process, Simulator
 from repro.telemetry.autoscaler import Autoscaler
 from repro.telemetry.metrics import MetricsRegistry
@@ -56,29 +49,13 @@ class ControlLoop:
     def __init__(self, orchestrator: LocalOrchestrator,
                  registry: MetricsRegistry,
                  autoscaler: Optional[Autoscaler] = None,
-                 interval: float = 1.0,
-                 shards: int = 1) -> None:
+                 interval: float = 1.0) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.orchestrator = orchestrator
         self.registry = registry
         self.autoscaler = autoscaler
         self.interval = interval
-        self.shards = shards
-        if shards > 1:
-            reconciler = orchestrator.reconciler
-            journal = reconciler.journal
-            if not isinstance(journal, ShardedEventJournal):
-                sharded = ShardedEventJournal(shards=shards,
-                                              max_events=journal.max_events,
-                                              clock=journal.clock)
-                sharded.adopt(journal)
-                # A tracer's journal-drop trigger hooked onto the plain
-                # journal must survive the swap.
-                sharded.on_drop = journal.on_drop
-                reconciler.journal = sharded
         # Ad-hoc samples (REST scrapes) between two loop iterations
         # must not shorten the rate windows scaling decisions read.
         registry.min_rate_window = interval / 2.0
@@ -89,15 +66,8 @@ class ControlLoop:
         self.last_error: str = ""
         self._stop: Optional[threading.Event] = None
         self._thread: Optional[threading.Thread] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     # -- one iteration -----------------------------------------------------------
-    def _partition(self, graph_ids: list[str]) -> list[list[str]]:
-        parts: list[list[str]] = [[] for _ in range(self.shards)]
-        for graph_id in graph_ids:
-            parts[shard_of_graph(graph_id, self.shards)].append(graph_id)
-        return parts
-
     def _tick_one(self, graph_id: str) -> int:
         """Tick one graph, absorbing its failure into loop stats.
 
@@ -124,25 +94,8 @@ class ControlLoop:
         reconciler = self.orchestrator.reconciler
         tracer = reconciler.tracer
         tick_started = time.perf_counter() if tracer is not None else 0.0
-        executed = 0
         graph_ids = sorted(set(reconciler.desired) | set(reconciler.observed))
-        if self.shards > 1:
-            parts = self._partition(graph_ids)
-            if self._pool is not None:
-                def tick_shard(part: list[str]) -> int:
-                    return sum(self._tick_one(graph_id) for graph_id in part)
-                executed = sum(self._pool.map(tick_shard, parts))
-            else:
-                # Sim mode / direct step(): same partitions, ticked
-                # round-robin so the order is deterministic.
-                longest = max((len(part) for part in parts), default=0)
-                for i in range(longest):
-                    for part in parts:
-                        if i < len(part):
-                            executed += self._tick_one(part[i])
-        else:
-            for graph_id in graph_ids:
-                executed += self._tick_one(graph_id)
+        executed = sum(self._tick_one(graph_id) for graph_id in graph_ids)
         self.registry.sample(t)
         decisions = (self.autoscaler.evaluate(t)
                      if self.autoscaler is not None else [])
@@ -186,19 +139,9 @@ class ControlLoop:
 
     # -- thread driver -----------------------------------------------------------
     def start(self) -> "ControlLoop":
-        """Run the loop on a daemon thread (monotonic wall clock).
-
-        With ``shards > 1`` a worker pool is opened and every iteration
-        fans the shard partitions out across it — per-graph locks make
-        concurrent ticks safe, and the sharded journal keeps the
-        workers from serializing on one ring mutex.
-        """
+        """Run the loop on a daemon thread (monotonic wall clock)."""
         if self._thread is not None:
             raise RuntimeError("control loop already running")
-        if self.shards > 1 and self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.shards,
-                thread_name_prefix="control-loop-shard")
         self._stop = threading.Event()
 
         def run() -> None:
@@ -220,6 +163,3 @@ class ControlLoop:
             self._thread.join(timeout=5)
             self._thread = None
             self._stop = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None

@@ -181,8 +181,8 @@ class Tracer:
         """The sim-or-monotonic time, read dynamically.
 
         The journal is resolved through a callable on every read: the
-        control loop may *replace* the reconciler's journal (sharding)
-        or rebind its clock (sim mode) after this tracer was built.
+        reconciler's journal may be *replaced* or its clock rebound
+        (sim mode) after this tracer was built.
         """
         if self._clock is not None:
             return self._clock()

@@ -14,7 +14,6 @@ the per-graph locking is removed:
   unsynchronized ``len(log) == max_events`` check undercounted drops.
 """
 
-import itertools
 import json
 import threading
 import urllib.request
@@ -25,8 +24,6 @@ from repro.core import ComputeNode
 from repro.core.reconciler import (
     EventJournal,
     GraphLockRegistry,
-    ShardedEventJournal,
-    shard_of_graph,
 )
 from repro.nffg.json_codec import nffg_to_dict
 from repro.nffg.model import Nffg
@@ -180,63 +177,28 @@ class TestJournalThreadSafety:
         seqs = [event.seq for event in journal.events("g")]
         assert seqs == sorted(seqs) and len(set(seqs)) == 50
 
-    def test_sharded_journal_routes_counts_and_merges(self):
-        journal = ShardedEventJournal(shards=3, max_events=10)
-        graph_ids = [f"g{i}" for i in range(9)]
 
-        def hammer(graph_id):
-            for _ in range(40):
-                journal.append(graph_id, "tick")
-
-        _run_threads([lambda g=g: hammer(g) for g in graph_ids])
-        for graph_id in graph_ids:
-            assert len(journal.events(graph_id)) == 10
-            assert journal.dropped_count(graph_id) == 30
-            shard = shard_of_graph(graph_id, 3)
-            assert journal.shard_for(graph_id) is journal.shards[shard]
-        assert journal.graphs() == sorted(graph_ids)
-        merged = journal.merged_events()
-        assert len(merged) == 90
-        assert [e.seq for e in merged] == sorted(e.seq for e in merged)
-
-    def test_adopt_preserves_pre_sharding_history(self):
-        single = EventJournal(max_events=5)
-        for _ in range(8):
-            single.append("old", "deploy")
-        sharded = ShardedEventJournal(shards=2, max_events=5)
-        sharded.adopt(single)
-        assert len(sharded.events("old")) == 5
-        assert sharded.dropped_count("old") == 3
-        assert sharded.last_kind("old") == "deploy"
-
-    def test_shard_of_graph_is_stable_and_bounded(self):
-        for graph_id in ("a", "graph-1", "x" * 60):
-            shard = shard_of_graph(graph_id, 4)
-            assert 0 <= shard < 4
-            assert shard == shard_of_graph(graph_id, 4)
-        assert shard_of_graph("anything", 1) == 0
-
-
-class TestShardedLoopDeterminism:
+class TestLoopDeterminism:
     def test_direct_step_order_is_deterministic(self):
-        """Two identical sharded fleets step to identical journals."""
+        """Two identical fleets step to identical journals."""
         def run_once():
             node = _big_node()
-            loop = ControlLoop(node.orchestrator, node.telemetry, shards=3)
+            loop = ControlLoop(node.orchestrator, node.telemetry)
             for i in range(6):
                 node.orchestrator.reconciler.set_desired(_graph(f"g{i}"))
             for _ in range(3):
                 loop.step(now=float(loop.iterations))
             journal = node.orchestrator.reconciler.journal
             return [(e.seq, e.kind, e.graph_id)
-                    for e in journal.merged_events()]
+                    for graph_id in journal.graphs()
+                    for e in journal.events(graph_id)]
 
         assert run_once() == run_once()
 
-    def test_thread_mode_shard_pool_converges_fleet(self):
+    def test_thread_mode_converges_fleet(self):
         node = _big_node()
         loop = ControlLoop(node.orchestrator, node.telemetry,
-                           interval=0.01, shards=4)
+                           interval=0.01)
         for i in range(12):
             node.orchestrator.reconciler.set_desired(_graph(f"g{i}"))
         loop.start()

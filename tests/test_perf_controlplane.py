@@ -29,11 +29,14 @@ def quick_results():
 def test_quick_fleet_converges_and_gates(quick_results):
     """The tier-1 smoke leg: the quick fleet deploys, churns and
     converges within the exact tick gates, policies survive re-PUTs,
-    and nothing is dropped from the sharded journal."""
+    and the journal drops nothing and keeps its seqs in order."""
     assert quick_results["meta"]["quick"] is True
     assert quick_results["deploy"]["ticks_to_converge"] <= \
         CONTROLPLANE_MAX_CONVERGE_TICKS
-    assert quick_results["journal"]["sharded"] is True
+    journal = quick_results["journal"]
+    assert journal["events_total"] > 0
+    assert journal["duplicate_seqs"] == 0
+    assert journal["unordered_graphs"] == 0
     check_results(quick_results)
     json.dumps(quick_results)  # JSON-clean
 
@@ -59,6 +62,14 @@ def test_gates_catch_policy_and_journal_regressions(quick_results):
     with pytest.raises(AssertionError, match="journal events dropped"):
         check_results(doctored)
     doctored = json.loads(json.dumps(quick_results))
+    doctored["journal"]["duplicate_seqs"] = 1
+    with pytest.raises(AssertionError, match="journal integrity"):
+        check_results(doctored)
+    doctored = json.loads(json.dumps(quick_results))
+    doctored["journal"]["unordered_graphs"] = 3
+    with pytest.raises(AssertionError, match="journal integrity"):
+        check_results(doctored)
+    doctored = json.loads(json.dumps(quick_results))
     doctored["tick_errors"] = 2
     with pytest.raises(AssertionError, match="tick error"):
         check_results(doctored)
@@ -81,7 +92,7 @@ def test_controlplane_churn_bench(request):
     """
     quick = request.config.getoption("--quick")
     results = run_controlplane_bench(quick=quick)
-    print(f"\n{results['graphs']} graphs / {results['shards']} shards: "
+    print(f"\n{results['graphs']} graphs: "
           f"deploy {results['deploy']['ticks_to_converge']} tick(s) in "
           f"{results['deploy']['total_seconds']:.2f}s, mean tick "
           f"{results['tick_latency']['mean_per_graph_s'] * 1e6:.0f} "

@@ -96,6 +96,12 @@ class TestRestApp:
                                   {"id": "r1", "match": "lan",
                                    "action": {"output": "endpoint:lan"}}]}}},
         [1, 2],
+        *({"forwarding-graph": {"id": "g1",
+                                "big-switch": {"flow-rules": [
+                                    {"id": "r1", "priority": priority,
+                                     "match": {"port_in": "endpoint:lan"},
+                                     "action": {"output": "endpoint:lan"}}]}}}
+          for priority in ([1], {}, None)),
     ])
     def test_400_for_malformed_nffg_shapes(self, client, document):
         """A wrong container type anywhere in the NF-FG is a 400 naming
