@@ -5,11 +5,15 @@ frames to the bridge, which learns source MACs and forwards/floods.  An
 optional per-VLAN filtering mode keeps service graphs isolated when the
 bridge is shared — the marking requirement (ii) of the paper's
 sharability definition ("multiple internal paths ... in isolation").
+
+Ingress has one body, :meth:`Bridge._bridge_input`, for a lone frame
+and a batch alike; the per-frame learn-and-forward semantics it must
+reproduce live test-side, in ``tests/reference_namespace.py``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.linuxnet.devices import NetDevice
 from repro.net.addresses import MacAddress
@@ -64,49 +68,16 @@ class Bridge:
         return device
 
     # -- dataplane -------------------------------------------------------------
-    def _fdb_key(self, mac: MacAddress,
-                 vlan: Optional[int]) -> tuple[int, Optional[int]]:
-        return (int(mac), vlan if self.vlan_filtering else None)
+    def _bridge_input(self, ingress: NetDevice,
+                      frames: Sequence[EthernetFrame]) -> None:
+        """Learn and forward every frame ``ingress`` received, in order.
 
-    def _bridge_input(self, ingress: NetDevice, frame: EthernetFrame) -> None:
-        vlan = frame.vlan if self.vlan_filtering else None
-        # Learn the source.
-        key = self._fdb_key(frame.src, vlan)
-        entry = self._fdb.get(key)
-        if entry is None or entry.port is not ingress:
-            self._fdb[key] = FdbEntry(frame.src, vlan, ingress)
-        self._fdb[key].packets += 1
-
-        if frame.dst.is_broadcast or frame.dst.is_multicast:
-            self._flood(ingress, frame, vlan)
-            return
-        target = self._fdb.get(self._fdb_key(frame.dst, vlan))
-        if target is None:
-            self._flood(ingress, frame, vlan)
-            return
-        if target.port is ingress:
-            self.dropped += 1  # hairpin off by default, as in Linux
-            return
-        self.forwarded += 1
-        target.port.transmit(frame)
-
-    def _flood(self, ingress: NetDevice, frame: EthernetFrame,
-               vlan: Optional[int]) -> None:
-        self.flooded += 1
-        for device in self.ports.values():
-            if device is ingress:
-                continue
-            device.transmit(frame)
-
-    def _bridge_input_batch(self, ingress: NetDevice, frames) -> None:
-        """Batch ingress: learn/forward a whole batch in one pass.
-
-        Learning, counters and forwarding decisions are identical to
-        per-frame :meth:`_bridge_input`; known-unicast egress is
-        coalesced per target port and delivered through
-        ``transmit_batch`` (per-port frame order preserved, same
-        batch-coalescing contract as the switch datapath).  Floods and
-        hairpin drops keep the per-frame path.
+        Known-unicast egress is coalesced per target port and leaves
+        through ``transmit_batch`` (per-port order preserved, the switch
+        datapath's batch-coalescing contract); a port's lone frame
+        leaves through ``transmit``, so per-frame ingress stays per
+        frame on the far side.  A flood first flushes the queues, so it
+        never overtakes queued unicast.
         """
         filtering = self.vlan_filtering
         fdb = self._fdb
@@ -115,7 +86,10 @@ class Bridge:
 
         def flush() -> None:
             for device, queued in queues.values():
-                device.transmit_batch(queued)
+                if len(queued) == 1:
+                    device.transmit(queued[0])
+                else:
+                    device.transmit_batch(queued)
             queues.clear()
 
         for frame in frames:
@@ -126,14 +100,15 @@ class Bridge:
                 fdb[key] = entry = FdbEntry(frame.src, vlan, ingress)
             entry.packets += 1
 
-            if frame.dst.is_broadcast or frame.dst.is_multicast:
-                flush()  # a flood may not overtake queued unicast
-                self._flood(ingress, frame, vlan)
-                continue
-            target = fdb.get((int(frame.dst), vlan))
+            target = None
+            if not (frame.dst.is_broadcast or frame.dst.is_multicast):
+                target = fdb.get((int(frame.dst), vlan))
             if target is None:
                 flush()
-                self._flood(ingress, frame, vlan)
+                self.flooded += 1
+                for device in self.ports.values():
+                    if device is not ingress:
+                        device.transmit(frame)
                 continue
             if target.port is ingress:
                 self.dropped += 1  # hairpin off by default, as in Linux

@@ -84,13 +84,19 @@ class ConnTrack:
         self._by_tuple[entry.reply] = (entry, "reply")
         return entry
 
-    def apply_nat(self, entry: ConnTrackEntry) -> None:
+    def apply_nat(self, entry: ConnTrackEntry) -> bool:
         """Re-index the reply direction after NAT was decided.
 
         With SNAT the reply arrives addressed to the NAT address; with
         DNAT the reply originates from the real (translated) server.
+        A reply tuple another connection already owns is never taken
+        over (Linux ``nf_nat_used_tuple``): a keep-port (port 0) SNAT
+        moves to the next free port after the original one, wrapping
+        within its range (1-511, 600-1023 or 1024-65535, as in
+        ``get_unique_tuple``), recorded in ``entry.snat``.  Any other
+        clash is an insert failure, returned as ``False`` so the caller
+        drops the packet.
         """
-        del self._by_tuple[entry.reply]
         src_ip, src_port = entry.orig.src_ip, entry.orig.src_port
         dst_ip, dst_port = entry.orig.dst_ip, entry.orig.dst_port
         if entry.snat is not None:
@@ -99,10 +105,35 @@ class ConnTrack:
         if entry.dnat is not None:
             dst_ip = entry.dnat[0]
             dst_port = entry.dnat[1] or dst_port
-        entry.reply = FlowTuple(src_ip=dst_ip, dst_ip=src_ip,
-                                proto=entry.orig.proto,
-                                src_port=dst_port, dst_port=src_port)
-        self._by_tuple[entry.reply] = (entry, "reply")
+        reply = FlowTuple(src_ip=dst_ip, dst_ip=src_ip,
+                          proto=entry.orig.proto,
+                          src_port=dst_port, dst_port=src_port)
+        if self._taken(reply, entry):
+            if entry.snat is None or entry.snat[1]:
+                self.insert_failures += 1
+                return False
+            low, high = ((1, 511) if src_port < 512 else
+                         (600, 1023) if src_port < 1024 else (1024, 65535))
+            span = high - low + 1
+            for step in range(1, span + 1):
+                port = low + (src_port - low + step) % span
+                reply = FlowTuple(src_ip=dst_ip, dst_ip=src_ip,
+                                  proto=entry.orig.proto,
+                                  src_port=dst_port, dst_port=port)
+                if not self._taken(reply, entry):
+                    entry.snat = (src_ip, port)
+                    break
+            else:
+                self.insert_failures += 1
+                return False
+        del self._by_tuple[entry.reply]
+        entry.reply = reply
+        self._by_tuple[reply] = (entry, "reply")
+        return True
+
+    def _taken(self, flow: FlowTuple, entry: ConnTrackEntry) -> bool:
+        owner = self._by_tuple.get(flow)
+        return owner is not None and owner[0] is not entry
 
     def confirm(self, entry: ConnTrackEntry) -> None:
         """First reply (or second orig) packet establishes the flow."""

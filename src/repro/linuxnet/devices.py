@@ -1,27 +1,27 @@
 """Network devices: generic netdevs, veth pairs, loopback.
 
 A :class:`NetDevice` delivers received frames either to the namespace
-stack it is enslaved to, to a bridge, or to an externally registered
-handler (that is how switch datapath ports and NF processes tap in).
-Transmission goes to the connected peer (veth) or the attached link.
+stack it is enslaved to, to a bridge, to an 802.1Q subdevice, or to an
+externally registered handler (that is how switch datapath ports and NF
+processes tap in).  Transmission goes to the connected peer (veth) or
+the attached link.
 
 Ingress and egress are *batch-aware*: :meth:`NetDevice.transmit_batch`
 moves a whole list of frames to the peer in one :meth:`receive_batch`
 call, and a handler registered with a ``batch_handler`` companion
 (switch datapath ports do this) receives the entire batch in one call —
 real device traffic therefore lands on the switch's batched pipeline
-(:meth:`~repro.switch.datapath.Datapath.process_batch_from`) instead of
-the per-frame path.  Namespace stacks and bridges are batch sinks too
-(:meth:`NetworkNamespace._stack_input_batch`,
-:meth:`Bridge._bridge_input_batch`), so NF-bound egress amortizes the
-same way switch-bound ingress does; only VLAN demux still degrades to
-the per-frame :meth:`receive` loop, with identical observable
-behavior.
+(:meth:`~repro.switch.datapath.Datapath.process_batch_from`).  Both
+entry points share one sink-selection body, and every sink behind it —
+namespace stack, bridge, VLAN demux — takes a frame sequence.  The
+per-frame semantics they must reproduce live test-side, in
+``tests/reference_namespace.py``.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Callable, Optional, Sequence, TYPE_CHECKING
 
 from repro.net.addresses import MacAddress
@@ -36,17 +36,19 @@ FrameHandler = Callable[["NetDevice", EthernetFrame], None]
 BatchFrameHandler = Callable[["NetDevice", Sequence[EthernetFrame]], None]
 
 _mac_counter = itertools.count(1)
+_vlan_of = attrgetter("vlan")
 
 
 class NetDevice:
     """A network interface.
 
-    Exactly one of three sinks consumes frames arriving at the device:
+    Exactly one sink consumes each frame arriving at an ``up`` device,
+    in this order of precedence:
 
     1. an attached handler (``attach_handler``) — switch ports, taps;
     2. a bridge the device is enslaved to (set by ``Bridge.add_port``);
-    3. the namespace IP stack, when the device is inside a namespace and
-       is ``up``.
+    3. the 802.1Q subdevice (:class:`VlanDevice`) the frame's tag names;
+    4. the namespace IP stack, when the device is inside a namespace.
 
     Counters mirror ``/sys/class/net/<dev>/statistics``.
     """
@@ -155,65 +157,57 @@ class NetDevice:
             self.peer.receive_batch(passed)
 
     def receive(self, frame: EthernetFrame) -> None:
-        """A frame arrived at this device from the outside."""
-        if not self.up:
-            self.rx_dropped += 1
-            return
-        self.rx_packets += 1
-        self.rx_bytes += len(frame)
-        if (frame.vlan is not None and frame.vlan in self.vlan_subdevices
-                and self._handler is None and self.bridge is None):
-            sub = self.vlan_subdevices[frame.vlan]
-            sub.receive(frame.without_vlan())
-            return
-        if self._handler is not None:
-            self._handler(self, frame)
-        elif self.bridge is not None:
-            self.bridge._bridge_input(self, frame)
-        elif self.namespace is not None:
-            self.namespace._stack_input(self, frame)
-        else:
-            self.rx_dropped += 1
-            self.rx_packets -= 1
-            self.rx_bytes -= len(frame)
+        """A frame arrived at this device from the outside.  A handler
+        gets it through its per-frame callable, so per-frame traffic
+        into a switch port stays on ``Datapath.process``."""
+        self._ingress((frame,), None)
 
     def receive_batch(self, frames: Sequence[EthernetFrame]) -> None:
-        """A whole batch arrived at this device from the outside.
+        """A whole batch arrived at this device from the outside.  A
+        handler's ``batch_handler`` gets it in one call — the hook into
+        :meth:`~repro.switch.datapath.Datapath.process_batch_from`."""
+        self._ingress(frames, self._batch_handler)
 
-        Every sink is batch-aware: a batch handler (switch ports) gets
-        the full batch in one call — this is how real ingress traffic
-        reaches
-        :meth:`~repro.switch.datapath.Datapath.process_batch_from` — a
-        bridge-enslaved device hands it to
-        :meth:`~repro.linuxnet.bridge.Bridge._bridge_input_batch`, and
-        a namespace device to
-        :meth:`~repro.linuxnet.namespace.NetworkNamespace._stack_input_batch`;
-        in each case counters are written once per batch.  Only VLAN
-        demux (subinterface-carrying devices with no handler/bridge)
-        still degrades to the per-frame :meth:`receive` loop.
+    def _ingress(self, frames: Sequence[EthernetFrame],
+                 batch_handler: Optional[BatchFrameHandler]) -> None:
+        """Hand ``frames`` to the sink (see the class docstring).  The
+        VLAN demux splits them into runs of consecutive frames with one
+        tag and passes each run on in arrival order: to its subdevice
+        tag-stripped, or (untagged, unknown VID) to the stack.
         """
         if not self.up:
             self.rx_dropped += len(frames)
             return
-        handler = self._batch_handler
+        self.rx_packets += len(frames)
+        self.rx_bytes += sum(map(len, frames))
+        handler = self._handler
         if handler is not None:
-            self.rx_packets += len(frames)
-            self.rx_bytes += sum(len(frame) for frame in frames)
-            handler(self, frames)
-            return
-        if self._handler is None and not self.vlan_subdevices:
-            if self.bridge is not None:
-                self.rx_packets += len(frames)
-                self.rx_bytes += sum(len(frame) for frame in frames)
-                self.bridge._bridge_input_batch(self, frames)
-                return
-            if self.namespace is not None:
-                self.rx_packets += len(frames)
-                self.rx_bytes += sum(len(frame) for frame in frames)
-                self.namespace._stack_input_batch(self, frames)
-                return
-        for frame in frames:
-            self.receive(frame)
+            if batch_handler is not None:
+                batch_handler(self, frames)
+            else:
+                for frame in frames:
+                    handler(self, frame)
+        elif self.bridge is not None:
+            self.bridge._bridge_input(self, frames)
+        elif self.vlan_subdevices:
+            subdevices = self.vlan_subdevices
+            for vid, run in itertools.groupby(frames, key=_vlan_of):
+                sub = subdevices.get(vid)
+                if sub is None:
+                    self._to_stack(list(run))
+                else:
+                    sub._ingress([frame.without_vlan() for frame in run],
+                                 sub._batch_handler)
+        else:
+            self._to_stack(frames)
+
+    def _to_stack(self, frames: Sequence[EthernetFrame]) -> None:
+        if self.namespace is not None:
+            self.namespace._stack_input(self, frames)
+        else:  # no sink at all: a drop, not a receive
+            self.rx_packets -= len(frames)
+            self.rx_bytes -= sum(map(len, frames))
+            self.rx_dropped += len(frames)
 
     def owns_address(self, ip: str) -> bool:
         return any(addr == ip for addr, _plen in self.addresses)
@@ -248,7 +242,8 @@ class VlanDevice(NetDevice):
 
     Frames transmitted through it are tagged with ``vid`` and sent via
     the parent; tagged frames arriving at the parent are demuxed to the
-    matching subinterface by the namespace stack (tag stripped).  This
+    matching subinterface by the parent's ingress (tag stripped, batch
+    kept).  This
     is how a single-interface NNF tells service graphs apart — the
     paper's adaptation layer "configures it to receive the traffic from
     multiple service graphs, appropriately marked".

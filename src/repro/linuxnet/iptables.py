@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from repro.linuxnet.conntrack import ConnState
-from repro.net.addresses import ip_to_int, parse_cidr
+from repro.net.addresses import compile_cidr, ip_to_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.linuxnet.namespace import SkBuff
@@ -74,21 +74,17 @@ class Match:
     ctstate: Optional[frozenset[ConnState]] = None
     invert_src: bool = False
     invert_dst: bool = False
+    # (network >> shift, shift) of src/dst; compiled once, hits() only shifts
+    _src: Optional[tuple[int, int]] = field(init=False, repr=False,
+                                            compare=False, default=None)
+    _dst: Optional[tuple[int, int]] = field(init=False, repr=False,
+                                            compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.src is not None:
-            parse_cidr(self.src if "/" in self.src else self.src + "/32")
+            self._src = compile_cidr(self.src)
         if self.dst is not None:
-            parse_cidr(self.dst if "/" in self.dst else self.dst + "/32")
-
-    def _cidr_hit(self, cidr: str, address: str) -> bool:
-        if "/" not in cidr:
-            cidr += "/32"
-        network, plen = parse_cidr(cidr)
-        if plen == 0:
-            return True
-        shift = 32 - plen
-        return (ip_to_int(address) >> shift) == (network >> shift)
+            self._dst = compile_cidr(self.dst)
 
     def hits(self, skb: "SkBuff") -> bool:
         if self.in_iface is not None and skb.in_iface != self.in_iface:
@@ -97,11 +93,15 @@ class Match:
             return False
         if skb.ipv4 is None:
             return False
-        if self.src is not None:
-            if self._cidr_hit(self.src, skb.ipv4.src) == self.invert_src:
+        if self._src is not None:
+            network, shift = self._src
+            if ((ip_to_int(skb.ipv4.src) >> shift == network)
+                    == self.invert_src):
                 return False
-        if self.dst is not None:
-            if self._cidr_hit(self.dst, skb.ipv4.dst) == self.invert_dst:
+        if self._dst is not None:
+            network, shift = self._dst
+            if ((ip_to_int(skb.ipv4.dst) >> shift == network)
+                    == self.invert_dst):
                 return False
         if self.proto is not None and skb.ipv4.proto != self.proto:
             return False

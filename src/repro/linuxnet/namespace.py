@@ -11,13 +11,17 @@ The hook layout mirrors netfilter::
 ESP output wraps the packet and re-enters the output path so the outer
 packet is routed and POSTROUTING-processed like any other, exactly as
 the kernel does.
+
+Ingress is one body for one frame or a batch alike
+(:meth:`NetworkNamespace._stack_input`); the per-frame stack it must
+reproduce lives test-side, in ``tests/reference_namespace.py``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.ipsec.esp import EspError, esp_decapsulate, esp_encapsulate
 from repro.ipsec.sa import ReplayError
@@ -254,28 +258,13 @@ class NetworkNamespace:
         self.send_ip(packet)
 
     # -- stack: input ------------------------------------------------------------
-    def _stack_input(self, device: NetDevice, frame: EthernetFrame) -> None:
-        if frame.ethertype != ETHERTYPE_IPV4:
-            self.rx_bad_packets += 1
-            return
-        try:
-            packet = IPv4Packet.from_bytes(frame.payload)
-        except ValueError:
-            self.rx_bad_packets += 1
-            return
-        skb = SkBuff(ipv4=packet, in_iface=device.name, in_device=device,
-                     src_mac=frame.src, vlan=frame.vlan)
-        self._receive_skb(skb)
+    def _stack_input(self, device: NetDevice,
+                     frames: Sequence[EthernetFrame]) -> None:
+        """Ingress into the IP stack: every frame ``device`` receives.
 
-    def _stack_input_batch(self, device: NetDevice, frames) -> None:
-        """Batch ingress into the IP stack (NF-bound egress hot path).
-
-        Same per-frame semantics as :meth:`_stack_input`, with the
-        header checks inlined, the method lookups hoisted out of the
-        loop and the bad-packet counter flushed once — the stack-side
-        mirror of the switch's ``process_batch_from``.  Frames are
-        processed strictly in order, so conntrack, NAT and forwarding
-        behave exactly as the per-frame path.
+        Frames are processed strictly in order, each to completion, so
+        conntrack, NAT and forwarding see exactly the per-frame
+        sequence; the bad-packet counter is flushed once per call.
         """
         bad = 0
         name = device.name
@@ -305,8 +294,8 @@ class NetworkNamespace:
             if self.iptables.traverse("nat", "PREROUTING", skb) == Verdict.DROP:
                 self.rx_dropped_filter += 1
                 return
-            if skb.ct_entry.dnat is not None:
-                self.conntrack.apply_nat(skb.ct_entry)
+            if skb.ct_entry.dnat is not None and self._nat_clash(skb):
+                return
         self._apply_nat(skb)
         if self.is_local_address(skb.ipv4.dst):
             self._input_local(skb)
@@ -417,8 +406,8 @@ class NetworkNamespace:
         if skb.ct_is_new and skb.ct_entry is not None:
             if self.iptables.traverse("nat", "OUTPUT", skb) == Verdict.DROP:
                 return
-            if skb.ct_entry.dnat is not None:
-                self.conntrack.apply_nat(skb.ct_entry)
+            if skb.ct_entry.dnat is not None and self._nat_clash(skb):
+                return
         self._apply_nat(skb)
         if self.iptables.traverse("filter", "OUTPUT", skb) == Verdict.DROP:
             return
@@ -469,7 +458,8 @@ class NetworkNamespace:
                 self.rx_dropped_filter += 1
                 return
             if skb.ct_entry.snat is not None:
-                self.conntrack.apply_nat(skb.ct_entry)
+                if self._nat_clash(skb):
+                    return
                 self._apply_nat(skb)
         self._transmit(skb, route)
 
@@ -514,6 +504,17 @@ class NetworkNamespace:
     def _ct_confirm(self, skb: SkBuff) -> None:
         if skb.ct_entry is not None and skb.ct_direction == "reply":
             self.conntrack.confirm(skb.ct_entry)
+
+    def _nat_clash(self, skb: SkBuff) -> bool:
+        """Index a NEW connection's NAT decision in conntrack.  When its
+        reply tuple clashes (an insert failure) the packet is dropped
+        and its unconfirmed entry freed, as Linux does; returns True
+        then."""
+        if self.conntrack.apply_nat(skb.ct_entry):
+            return False
+        self.conntrack.remove(skb.ct_entry)
+        self.rx_dropped_filter += 1
+        return True
 
     def _apply_nat(self, skb: SkBuff) -> None:
         entry = skb.ct_entry

@@ -9,8 +9,8 @@ kernel agrees with its reference:
   per-word RFC 1071 end-around-carry sum;
 * ``KeystreamCipher.encrypt`` (int XOR, one digest state copied per
   block) against a fresh SHA-256 per block and a per-byte XOR;
-* ``Selector.covers`` (precompiled CIDRs) against per-packet string
-  CIDR parsing.
+* ``Selector.covers`` and the iptables ``Match`` address test (both
+  precompiled CIDRs) against per-packet string CIDR parsing.
 """
 
 import hashlib
@@ -19,6 +19,8 @@ import struct
 from hypothesis import given, strategies as st
 
 from repro.ipsec import KeystreamCipher
+from repro.linuxnet.iptables import Match
+from repro.linuxnet.namespace import SkBuff
 from repro.linuxnet.xfrm import Selector
 from repro.net.addresses import int_to_ip, ip_to_int, parse_cidr
 from repro.net.checksum import internet_checksum
@@ -55,6 +57,19 @@ def reference_cidr_contains(cidr: str, address: str) -> bool:
     return (ip_to_int(address) >> shift) == (network >> shift)
 
 
+def reference_match_hits(match: Match, packet: IPv4Packet) -> bool:
+    """A bare address is a /32; each invert flag negates its test."""
+    for cidr, address, invert in ((match.src, packet.src, match.invert_src),
+                                  (match.dst, packet.dst, match.invert_dst)):
+        if cidr is None:
+            continue
+        if "/" not in cidr:
+            cidr += "/32"
+        if reference_cidr_contains(cidr, address) == invert:
+            return False
+    return True
+
+
 def reference_covers(selector: Selector, packet: IPv4Packet) -> bool:
     if selector.proto is not None and packet.proto != selector.proto:
         return False
@@ -74,6 +89,8 @@ addresses = st.integers(0, 0xFFFFFFFF).map(int_to_ip)
 cidrs = st.builds(lambda addr, plen: f"{addr}/{plen}", addresses,
                   st.sampled_from([0, 1, 8, 16, 24, 31, 32])
                   | st.integers(0, 32))
+#: what ``iptables -s``/``-d`` accepts: a CIDR, a bare address, or nothing
+match_cidrs = st.none() | cidrs | addresses
 protos = st.sampled_from([None, IPPROTO_TCP, IPPROTO_UDP])
 
 
@@ -171,3 +188,40 @@ class TestSelectorOracle:
         assert a == b and hash(a) == hash(b)
         assert a != Selector("10.0.0.0/8", "0.0.0.0/0", IPPROTO_UDP)
         assert "_compiled" not in repr(a)
+
+
+# -- iptables Match -----------------------------------------------------------
+
+class TestMatchOracle:
+    @given(match_cidrs, match_cidrs, st.booleans(), st.booleans(), addresses,
+           addresses)
+    def test_matches_string_cidr_hits(self, src_cidr, dst_cidr, invert_src,
+                                      invert_dst, src, dst):
+        match = Match(src=src_cidr, dst=dst_cidr, invert_src=invert_src,
+                      invert_dst=invert_dst)
+        packet = IPv4Packet(src=src, dst=dst, proto=IPPROTO_UDP, payload=b"")
+        assert (match.hits(SkBuff(ipv4=packet))
+                == reference_match_hits(match, packet))
+
+    def test_slash0_slash32_bare_and_inverted(self):
+        packet = IPv4Packet(src="10.1.2.3", dst="192.168.7.9",
+                            proto=IPPROTO_UDP, payload=b"")
+        cases = [
+            Match(src="0.0.0.0/0"),
+            Match(src="0.0.0.0/0", invert_src=True),
+            Match(src="10.1.2.3/32", dst="192.168.7.9"),
+            Match(src="10.1.2.3"),
+            Match(src="10.1.2.4", invert_src=True),
+            Match(dst="192.168.7.9", invert_dst=True),
+            Match(dst="192.168.0.0/16", invert_dst=True),
+            Match(src="10.0.0.0/8", dst="192.168.7.0/24"),
+        ]
+        skb = SkBuff(ipv4=packet)
+        got = [match.hits(skb) for match in cases]
+        assert got == [reference_match_hits(m, packet) for m in cases]
+        assert got == [True, False, True, True, True, False, False, True]
+
+    def test_compiled_fields_do_not_affect_equality(self):
+        assert Match(src="10.0.0.0/8") == Match(src="10.0.0.0/8")
+        assert Match(src="10.0.0.0/8") != Match(src="10.0.0.0/16")
+        assert "(10, 24)" not in repr(Match(src="10.0.0.0/8"))
